@@ -11,9 +11,11 @@
 // to disk"); bench_pcc_compile reproduces that comparison with this format.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/core.h"
@@ -63,7 +65,23 @@ class Model {
   /// violation.
   std::string validate() const;
 
-  // --- Explicit model file (binary) ---------------------------------------
+  // --- Binary codec (format "CMPS" v2) ------------------------------------
+  // One codec serves the explicit model file and the checkpoint's model
+  // section. Layout: u32 magic | u32 version | u64 core count | u64 seed |
+  // u16 region per core | one NeurosynapticCore record per core.
+
+  /// Exact number of bytes encode() appends.
+  std::size_t encoded_size() const noexcept;
+  /// Append the encoded model to `out` (reserve encoded_size() first to
+  /// write it without reallocation).
+  void encode(std::string& out) const;
+  /// Decode from memory. Throws util::DecodeError (a std::runtime_error) on
+  /// a bad header, a core count the bytes cannot hold, truncation, or a
+  /// value a core record forbids (NeurosynapticCore::decode); never reads
+  /// past `bytes`.
+  static Model decode(std::string_view bytes);
+
+  // Stream and file wrappers over the codec.
   void save(std::ostream& os) const;
   static Model load(std::istream& is);
   bool save_file(const std::string& path) const;

@@ -6,9 +6,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
+#include "util/bytes.h"
 #include "util/crc32.h"
 
 namespace compass::resilience {
@@ -25,61 +24,31 @@ constexpr std::uint32_t kSectionLedger = 3;
 
 constexpr std::size_t kHeaderBytes = 24;         // 20 payload + 4 CRC
 constexpr std::size_t kSectionHeaderBytes = 20;  // id + reserved + size + crc
+constexpr std::size_t kRuntimeBytes = 14 * 8;
+constexpr std::size_t kLedgerBytes = 4 * 8;
 
-template <typename T>
-void append_pod(std::string& out, const T& v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
+using util::append_pod;
 
-void append_section(std::string& out, std::uint32_t id,
-                    const std::string& payload) {
+/// Append a section header whose size and CRC close_section() fills in once
+/// the payload behind it is written; returns the header's offset.
+std::size_t open_section(std::string& out, std::uint32_t id) {
+  const std::size_t at = out.size();
   append_pod(out, id);
   append_pod(out, std::uint32_t{0});  // reserved
-  append_pod(out, static_cast<std::uint64_t>(payload.size()));
-  append_pod(out, util::crc32(payload.data(), payload.size()));
-  out.append(payload);
+  append_pod(out, std::uint64_t{0});  // payload size
+  append_pod(out, std::uint32_t{0});  // payload CRC
+  return at;
 }
 
-/// Bounds-checked little-endian reader over an in-memory buffer. Reading
-/// the whole file up front makes truncation checks trivial and keeps the
-/// parser free of stream-state subtleties.
-class Cursor {
- public:
-  explicit Cursor(std::string_view bytes) : bytes_(bytes) {}
+void close_section(std::string& out, std::size_t at) {
+  const std::size_t payload = at + kSectionHeaderBytes;
+  const std::uint64_t size = out.size() - payload;
+  const std::uint32_t crc = util::crc32(out.data() + payload, size);
+  std::memcpy(out.data() + at + 8, &size, sizeof size);
+  std::memcpy(out.data() + at + 16, &crc, sizeof crc);
+}
 
-  std::size_t remaining() const { return bytes_.size() - pos_; }
-
-  template <typename T>
-  T read(const char* what) {
-    if (remaining() < sizeof(T)) {
-      throw CheckpointError(CheckpointErrc::kTruncated,
-                            std::string("checkpoint truncated reading ") +
-                                what);
-    }
-    T v;
-    std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-
-  std::string_view read_span(std::size_t n, const char* what) {
-    if (remaining() < n) {
-      throw CheckpointError(CheckpointErrc::kTruncated,
-                            std::string("checkpoint truncated reading ") +
-                                what);
-    }
-    std::string_view v = bytes_.substr(pos_, n);
-    pos_ += n;
-    return v;
-  }
-
- private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
-
-std::string encode_runtime(const runtime::RunReport& r) {
-  std::string out;
+void encode_runtime(std::string& out, const runtime::RunReport& r) {
   append_pod(out, r.ticks);
   append_pod(out, r.fired_spikes);
   append_pod(out, r.routed_spikes);
@@ -94,11 +63,42 @@ std::string encode_runtime(const runtime::RunReport& r) {
   append_pod(out, r.host_wall_s);
   append_pod(out, r.recoveries);
   append_pod(out, r.recovery_ticks_lost);
+}
+
+/// The one checkpoint encoder. It reads the state by reference and writes
+/// the whole file image in one pass into a buffer sized up front.
+std::string encode(arch::Tick tick, const arch::Model& model,
+                   const runtime::RunReport& report,
+                   const perf::PhaseBreakdown& virtual_time,
+                   std::uint64_t ledger_ticks) {
+  std::string out;
+  out.reserve(kHeaderBytes + 3 * kSectionHeaderBytes + model.encoded_size() +
+              kRuntimeBytes + kLedgerBytes);
+  append_pod(out, kMagic);
+  append_pod(out, kVersion);
+  append_pod(out, static_cast<std::uint64_t>(tick));
+  append_pod(out, std::uint32_t{3});  // section count
+  append_pod(out, util::crc32(out.data(), out.size()));
+
+  std::size_t at = open_section(out, kSectionModel);
+  model.encode(out);
+  close_section(out, at);
+
+  at = open_section(out, kSectionRuntime);
+  encode_runtime(out, report);
+  close_section(out, at);
+
+  at = open_section(out, kSectionLedger);
+  append_pod(out, virtual_time.synapse);
+  append_pod(out, virtual_time.neuron);
+  append_pod(out, virtual_time.network);
+  append_pod(out, ledger_ticks);
+  close_section(out, at);
   return out;
 }
 
 void decode_runtime(std::string_view payload, runtime::RunReport& r) {
-  Cursor c(payload);
+  util::ByteCursor c(payload);
   r.ticks = c.read<std::uint64_t>("runtime.ticks");
   r.fired_spikes = c.read<std::uint64_t>("runtime.fired");
   r.routed_spikes = c.read<std::uint64_t>("runtime.routed");
@@ -120,63 +120,18 @@ void decode_runtime(std::string_view payload, runtime::RunReport& r) {
   }
 }
 
-std::string encode_ledger(const Checkpoint& cp) {
-  std::string out;
-  append_pod(out, cp.virtual_time.synapse);
-  append_pod(out, cp.virtual_time.neuron);
-  append_pod(out, cp.virtual_time.network);
-  append_pod(out, cp.ledger_ticks);
-  return out;
-}
-
 void decode_ledger(std::string_view payload, Checkpoint& cp) {
-  Cursor c(payload);
+  util::ByteCursor c(payload);
   cp.virtual_time.synapse = c.read<double>("ledger.synapse");
   cp.virtual_time.neuron = c.read<double>("ledger.neuron");
   cp.virtual_time.network = c.read<double>("ledger.network");
   cp.ledger_ticks = c.read<std::uint64_t>("ledger.ticks");
 }
 
-[[noreturn]] void throw_io(const std::string& op, const std::string& path) {
-  throw CheckpointError(CheckpointErrc::kIo, "checkpoint " + op + " failed: " +
-                                                 path + ": " +
-                                                 std::strerror(errno));
-}
-
-}  // namespace
-
-const char* to_string(CheckpointErrc code) {
-  switch (code) {
-    case CheckpointErrc::kIo: return "io-error";
-    case CheckpointErrc::kBadMagic: return "bad-magic";
-    case CheckpointErrc::kBadVersion: return "bad-version";
-    case CheckpointErrc::kHeaderCorrupt: return "header-corrupt";
-    case CheckpointErrc::kTruncated: return "truncated";
-    case CheckpointErrc::kSectionCorrupt: return "section-corrupt";
-    case CheckpointErrc::kMissingSection: return "missing-section";
-    case CheckpointErrc::kShapeMismatch: return "shape-mismatch";
-  }
-  return "?";
-}
-
-std::string serialize_checkpoint(const Checkpoint& cp) {
-  std::string out;
-  append_pod(out, kMagic);
-  append_pod(out, kVersion);
-  append_pod(out, static_cast<std::uint64_t>(cp.tick));
-  append_pod(out, std::uint32_t{3});  // section count
-  append_pod(out, util::crc32(out.data(), out.size()));
-
-  std::ostringstream model_os(std::ios::binary);
-  cp.model.save(model_os);
-  append_section(out, kSectionModel, model_os.str());
-  append_section(out, kSectionRuntime, encode_runtime(cp.report));
-  append_section(out, kSectionLedger, encode_ledger(cp));
-  return out;
-}
-
-Checkpoint parse_checkpoint(std::string_view bytes) {
-  Cursor c(bytes);
+/// parse_checkpoint without the truncation mapping: cursor under-runs
+/// surface here as util::DecodeError.
+Checkpoint parse_unguarded(std::string_view bytes) {
+  util::ByteCursor c(bytes);
   if (bytes.size() < kHeaderBytes) {
     throw CheckpointError(CheckpointErrc::kTruncated,
                           "checkpoint smaller than its header");
@@ -208,10 +163,10 @@ Checkpoint parse_checkpoint(std::string_view bytes) {
     (void)c.read<std::uint32_t>("section reserved");
     const std::uint64_t size = c.read<std::uint64_t>("section size");
     const std::uint32_t crc = c.read<std::uint32_t>("section crc");
-    // A corrupt size field cannot over-allocate: read_span bounds-checks
-    // against the actual file size before any copy happens.
+    // A corrupt size field cannot over-allocate: the payload is a view,
+    // bounds-checked against the actual file size.
     const std::string_view payload =
-        c.read_span(static_cast<std::size_t>(size), "section payload");
+        c.take(static_cast<std::size_t>(size), "section payload");
     if (crc != util::crc32(payload.data(), payload.size())) {
       throw CheckpointError(CheckpointErrc::kSectionCorrupt,
                             "checkpoint section " + std::to_string(id) +
@@ -219,9 +174,8 @@ Checkpoint parse_checkpoint(std::string_view bytes) {
     }
     switch (id) {
       case kSectionModel: {
-        std::istringstream is{std::string(payload), std::ios::binary};
         try {
-          cp.model = arch::Model::load(is);
+          cp.model = arch::Model::decode(payload);
         } catch (const std::exception& e) {
           // CRC-valid but undecodable: produced by a buggy writer, still a
           // typed rejection rather than a crash.
@@ -253,8 +207,49 @@ Checkpoint parse_checkpoint(std::string_view bytes) {
   return cp;
 }
 
-void save_checkpoint_file(const Checkpoint& cp, const std::string& path) {
-  const std::string bytes = serialize_checkpoint(cp);
+[[noreturn]] void throw_io(const std::string& op, const std::string& path) {
+  throw CheckpointError(CheckpointErrc::kIo, "checkpoint " + op + " failed: " +
+                                                 path + ": " +
+                                                 std::strerror(errno));
+}
+
+}  // namespace
+
+const char* to_string(CheckpointErrc code) {
+  switch (code) {
+    case CheckpointErrc::kIo: return "io-error";
+    case CheckpointErrc::kBadMagic: return "bad-magic";
+    case CheckpointErrc::kBadVersion: return "bad-version";
+    case CheckpointErrc::kHeaderCorrupt: return "header-corrupt";
+    case CheckpointErrc::kTruncated: return "truncated";
+    case CheckpointErrc::kSectionCorrupt: return "section-corrupt";
+    case CheckpointErrc::kMissingSection: return "missing-section";
+    case CheckpointErrc::kShapeMismatch: return "shape-mismatch";
+  }
+  return "?";
+}
+
+std::string serialize_checkpoint(const Checkpoint& cp) {
+  return encode(cp.tick, cp.model, cp.report, cp.virtual_time,
+                cp.ledger_ticks);
+}
+
+std::string serialize_checkpoint(const runtime::Compass& sim,
+                                 const arch::Model& model) {
+  return encode(sim.now(), model, sim.report(), sim.ledger().totals(),
+                sim.ledger().ticks());
+}
+
+Checkpoint parse_checkpoint(std::string_view bytes) {
+  try {
+    return parse_unguarded(bytes);
+  } catch (const util::DecodeError& e) {
+    throw CheckpointError(CheckpointErrc::kTruncated,
+                          std::string("checkpoint ") + e.what());
+  }
+}
+
+void write_checkpoint_file(std::string_view bytes, const std::string& path) {
   const std::string tmp = path + ".tmp";
 
   // POSIX write path: std::ofstream cannot fsync, and without the fsync +
@@ -298,19 +293,14 @@ void save_checkpoint_file(const Checkpoint& cp, const std::string& path) {
   }
 }
 
+void save_checkpoint_file(const Checkpoint& cp, const std::string& path) {
+  write_checkpoint_file(serialize_checkpoint(cp), path);
+}
+
 Checkpoint load_checkpoint_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw CheckpointError(CheckpointErrc::kIo,
-                          "cannot open checkpoint " + path);
-  }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  if (is.bad()) {
-    throw CheckpointError(CheckpointErrc::kIo,
-                          "cannot read checkpoint " + path);
-  }
-  return parse_checkpoint(buf.str());
+  std::string bytes;
+  if (!util::read_file(path, bytes)) throw_io("read", path);
+  return parse_checkpoint(bytes);
 }
 
 Checkpoint capture(const runtime::Compass& sim, const arch::Model& model) {

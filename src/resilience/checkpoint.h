@@ -28,6 +28,11 @@
 // Unknown section ids with valid CRCs are skipped (forward compatibility);
 // the three required sections (model, runtime, ledger) must all be present.
 //
+// One encoder writes the file image in a single pass from state it reads
+// by reference (a live simulator, or a decoded Checkpoint) into a buffer
+// sized up front; the decoder views sections in place and moves model
+// arrays with memcpy (arch::Model::decode).
+//
 // Files are written crash-consistently: serialize to memory, write to a
 // temporary file in the destination directory, fsync, atomically rename
 // over the final path, then fsync the directory. A crash mid-write leaves
@@ -83,17 +88,28 @@ struct Checkpoint {
 /// Encode to the binary checkpoint format.
 std::string serialize_checkpoint(const Checkpoint& cp);
 
+/// Encode a live simulator at its current tick boundary: the same bytes as
+/// serialize_checkpoint(capture(sim, model)), without copying the model.
+/// `model` must be the model `sim` runs.
+std::string serialize_checkpoint(const runtime::Compass& sim,
+                                 const arch::Model& model);
+
 /// Decode and verify; throws CheckpointError on any defect.
 Checkpoint parse_checkpoint(std::string_view bytes);
 
-/// Atomic, fsync'd write (temp file + rename). Throws CheckpointError(kIo).
+/// Atomic, fsync'd write of encoded bytes (temp file + rename). Throws
+/// CheckpointError(kIo).
+void write_checkpoint_file(std::string_view bytes, const std::string& path);
+
+/// write_checkpoint_file(serialize_checkpoint(cp), path).
 void save_checkpoint_file(const Checkpoint& cp, const std::string& path);
 
-/// Read + parse_checkpoint. Throws CheckpointError.
+/// One fstat-sized read + parse_checkpoint. Throws CheckpointError.
 Checkpoint load_checkpoint_file(const std::string& path);
 
-/// Snapshot a simulator at its current tick boundary. Call between steps
-/// (or from a Compass tick callback); `model` must be the model `sim` runs.
+/// Snapshot a simulator at its current tick boundary into a decoded
+/// Checkpoint (a deep copy of the model). Call between steps (or from a
+/// Compass tick callback); `model` must be the model `sim` runs.
 Checkpoint capture(const runtime::Compass& sim, const arch::Model& model);
 
 /// Restore a snapshot into a simulator: overwrites `model` (which must be

@@ -99,13 +99,10 @@ std::string CheckpointManager::write_unguarded(const runtime::Compass& sim,
       (fs::path(options_.dir) / file_name(sim.now())).string();
 
   util::Stopwatch sw;
-  const Checkpoint cp = capture(sim, model);
-  save_checkpoint_file(cp, path);
+  const std::string image = serialize_checkpoint(sim, model);
+  write_checkpoint_file(image, path);
   const double elapsed = sw.elapsed_s();
-
-  // Size of what we just wrote, for the bytes metric (stat over re-serialize).
-  const auto size = fs::file_size(path, ec);
-  const std::uint64_t bytes = ec ? 0 : static_cast<std::uint64_t>(size);
+  const std::uint64_t bytes = image.size();
 
   ++stats_.snapshots;
   stats_.bytes += bytes;
@@ -127,8 +124,8 @@ std::string CheckpointManager::write_unguarded(const runtime::Compass& sim,
   if (!known) written_.push_back(path);
   prune();
   if (wall_ != nullptr) {
-    // The whole snapshot (capture + write + prune) charged as one
-    // kCheckpoint observation; sw covers capture+write, re-read for prune.
+    // The whole snapshot (encode + write + prune) charged as one
+    // kCheckpoint observation; sw covers encode+write, re-read for prune.
     wall_->record_global(obs::WallPhase::kCheckpoint, sw.elapsed_s());
   }
   return path;

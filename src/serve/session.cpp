@@ -185,8 +185,7 @@ std::uint64_t Session::step(std::uint64_t budget, const EmitFn& emit) {
 }
 
 std::uint64_t Session::snapshot_save() {
-  const resilience::Checkpoint cp = resilience::capture(*sim_, model_);
-  snapshot_bytes_ = resilience::serialize_checkpoint(cp);
+  snapshot_bytes_ = resilience::serialize_checkpoint(*sim_, model_);
   snapshot_stimuli_ = stimuli_;
   return snapshot_bytes_.size();
 }

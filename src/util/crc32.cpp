@@ -6,19 +6,38 @@ namespace compass::util {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slice-by-8 tables: kTables[0] is the classic bytewise table; kTables[k][i]
+// is the CRC of byte i followed by k zero bytes, so eight table lookups
+// advance the register over eight input bytes at once.
+using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Tables make_tables() {
+  Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+    }
+  }
+  return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kTable = make_table();
+constexpr Tables kTables = make_tables();
+
+// Little-endian 32-bit load from any alignment and any host byte order
+// (compilers turn this into a single load on little-endian targets).
+inline std::uint32_t load_le32(const unsigned char* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
@@ -26,8 +45,16 @@ std::uint32_t crc32(const void* data, std::size_t len,
                     std::uint32_t crc) noexcept {
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    c = kTable[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; len >= 8; len -= 8, p += 8) {
+    const std::uint32_t lo = c ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    c = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+        kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+        kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+        kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; len > 0; --len, ++p) {
+    c = kTables[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

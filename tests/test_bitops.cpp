@@ -6,6 +6,8 @@
 
 #include <vector>
 
+#include "util/prng.h"
+
 namespace compass::util {
 namespace {
 
@@ -118,6 +120,23 @@ TEST(ForEachSetBitAnd, IntersectionOnly) {
   for_each_set_bit_and(a, b, [&](unsigned i) { got.push_back(i); });
   for (unsigned i : got) EXPECT_EQ(i % 6, 0u);
   EXPECT_EQ(got.size(), 43u);  // 0, 6, ..., 252
+}
+
+TEST(Transpose64, MovesEveryBitAcrossTheDiagonal) {
+  CorePrng prng(64);
+  for (int round = 0; round < 8; ++round) {
+    std::array<std::uint64_t, 64> m;
+    for (auto& w : m) w = prng.next_u64();
+    std::array<std::uint64_t, 64> t = m;
+    transpose64(t);
+    for (unsigned i = 0; i < 64; ++i) {
+      for (unsigned j = 0; j < 64; ++j) {
+        ASSERT_EQ((t[j] >> i) & 1u, (m[i] >> j) & 1u) << i << "," << j;
+      }
+    }
+    transpose64(t);
+    EXPECT_EQ(t, m);  // an involution
+  }
 }
 
 }  // namespace

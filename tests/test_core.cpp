@@ -4,10 +4,11 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "arch/model.h"
+#include "util/bytes.h"
 
 namespace compass::arch {
 namespace {
@@ -261,10 +262,13 @@ TEST(Core, SaveLoadRoundTripsExactly) {
   }
   core.prng().next_u64();  // advance PRNG so its state is non-trivial
 
-  std::stringstream ss;
-  core.save(ss);
+  std::string bytes;
+  core.encode(bytes);
+  ASSERT_EQ(bytes.size(), NeurosynapticCore::kEncodedBytes);
   NeurosynapticCore loaded;
-  loaded.load(ss);
+  util::ByteCursor in(bytes);
+  loaded.decode(in);
+  EXPECT_EQ(in.remaining(), 0u);
   EXPECT_TRUE(core == loaded);
 
   // Loaded copy must continue the simulation identically.
