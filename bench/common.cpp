@@ -22,35 +22,10 @@ namespace compass::bench {
 
 namespace {
 
-const char* env_or_empty(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? v : "";
-}
-
 /// Process-wide observability state: one registry and one set of writers
 /// shared by every run_model() call, flushed when the process exits.
 struct BenchObs {
-  ObsOptions options = [] {
-    ObsOptions o;
-    o.trace_out = env_or_empty("COMPASS_TRACE_OUT");
-    o.chrome_out = env_or_empty("COMPASS_CHROME_OUT");
-    o.metrics_out = env_or_empty("COMPASS_METRICS_OUT");
-    o.profile_out = env_or_empty("COMPASS_PROFILE_OUT");
-    o.spike_trace_out = env_or_empty("COMPASS_SPIKE_TRACE_OUT");
-    o.wallprof_out = env_or_empty("COMPASS_WALLPROF_OUT");
-    o.analytics_out = env_or_empty("COMPASS_ANALYTICS_OUT");
-    const char* sample = std::getenv("COMPASS_SPIKE_SAMPLE");
-    if (sample != nullptr && *sample != '\0') {
-      const unsigned long long v = std::strtoull(sample, nullptr, 10);
-      if (v >= 1) o.spike_sample = v;
-    }
-    const char* window = std::getenv("COMPASS_ANALYTICS_WINDOW");
-    if (window != nullptr && *window != '\0') {
-      const unsigned long long v = std::strtoull(window, nullptr, 10);
-      if (v >= 1) o.analytics_window = v;
-    }
-    return o;
-  }();
+  ObsOptions options;
   obs::MetricsRegistry registry;
   std::ofstream trace_os;
   std::optional<obs::JsonlTraceWriter> jsonl;
@@ -107,12 +82,7 @@ void obs_usage(std::ostream& os, const char* prog) {
      << " [--trace-out F] [--chrome-out F] [--metrics-out F]\n"
         "       [--profile-out F] [--spike-trace-out F] [--spike-sample N]\n"
         "       [--wallprof-out F] [--analytics-out F] [--analytics-window N]\n"
-        "  (environment fallbacks: COMPASS_TRACE_OUT, COMPASS_CHROME_OUT,\n"
-        "   COMPASS_METRICS_OUT, COMPASS_PROFILE_OUT,\n"
-        "   COMPASS_SPIKE_TRACE_OUT, COMPASS_SPIKE_SAMPLE,\n"
-        "   COMPASS_WALLPROF_OUT, COMPASS_ANALYTICS_OUT,\n"
-        "   COMPASS_ANALYTICS_WINDOW;\n"
-        "   COMPASS_BENCH_SCALE scales the model sizes)\n";
+        "  (COMPASS_BENCH_SCALE in the environment scales the model sizes)\n";
 }
 
 }  // namespace

@@ -25,34 +25,28 @@ namespace compass::bench {
 double bench_scale();
 
 /// Observability outputs shared by every run_model() call in a bench
-/// process. Defaults come from the COMPASS_TRACE_OUT / COMPASS_CHROME_OUT /
-/// COMPASS_METRICS_OUT environment variables; benches that take argv can
-/// override them with --trace-out / --chrome-out / --metrics-out via
-/// init_obs(). JSONL traces append across runs in one process; the Chrome
-/// trace and the metrics snapshot are written once at process exit.
+/// process, set by the flags init_obs() parses. JSONL traces append across
+/// runs in one process; the Chrome trace and the metrics snapshot are
+/// written once at process exit.
 struct ObsOptions {
   std::string trace_out;    // per-(tick,rank,phase) JSONL
   std::string chrome_out;   // Chrome-trace/Perfetto JSON
   std::string metrics_out;  // metrics-registry snapshot JSON
   std::string profile_out;  // comm-matrix + imbalance profile JSON
-                            // ($COMPASS_PROFILE_OUT; rewritten per run, so
-                            // the file holds the process's last run)
-  std::string spike_trace_out;      // causal spike-span JSONL
-                                    // ($COMPASS_SPIKE_TRACE_OUT; appends
+                            // (rewritten per run, so the file holds the
+                            // process's last run)
+  std::string spike_trace_out;      // causal spike-span JSONL (appends
                                     // across the process's runs)
   std::uint64_t spike_sample = 64;  // 1-in-N spike sampling
-                                    // ($COMPASS_SPIKE_SAMPLE)
-  std::string wallprof_out;         // host wall-clock profile JSONL
-                                    // ($COMPASS_WALLPROF_OUT; one wallprof
-                                    // summary record appended per run, so a
-                                    // multi-run bench yields one line per
-                                    // measured configuration)
+  std::string wallprof_out;         // host wall-clock profile JSONL (one
+                                    // wallprof summary record appended per
+                                    // run, so a multi-run bench yields one
+                                    // line per measured configuration)
   std::string analytics_out;        // streaming spike-analytics JSONL
-                                    // ($COMPASS_ANALYTICS_OUT; window records
-                                    // append across the process's runs; each
-                                    // run re-emits its config header)
+                                    // (window records append across the
+                                    // process's runs; each run re-emits its
+                                    // config header)
   std::uint64_t analytics_window = 64;  // analytics window length, ticks
-                                        // ($COMPASS_ANALYTICS_WINDOW)
 };
 
 /// Parse the observability flags (--trace-out / --chrome-out /

@@ -237,6 +237,11 @@ Model Model::decode(std::string_view bytes) {
   m.region_.resize(h.count);
   in.copy(m.region_.data(), h.count * sizeof(std::uint16_t), "regions");
   for (auto& core : m.cores_) core.decode(in);
+  // Each field is in range on its own; the network they describe must be
+  // too, or the runtime would index cores and partitions with its targets.
+  if (const std::string err = m.validate(); !err.empty()) {
+    throw util::DecodeError("model: " + err);
+  }
   return m;
 }
 

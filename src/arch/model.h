@@ -76,9 +76,9 @@ class Model {
   /// write it without reallocation).
   void encode(std::string& out) const;
   /// Decode from memory. Throws util::DecodeError (a std::runtime_error) on
-  /// a bad header, a core count the bytes cannot hold, truncation, or a
-  /// value a core record forbids (NeurosynapticCore::decode); never reads
-  /// past `bytes`.
+  /// a bad header, a core count the bytes cannot hold, truncation, a value
+  /// a core record forbids (NeurosynapticCore::decode), or a model that
+  /// fails validate(); never reads past `bytes`.
   static Model decode(std::string_view bytes);
 
   // Stream and file wrappers over the codec.

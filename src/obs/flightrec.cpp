@@ -164,6 +164,20 @@ void FlightRecorder::record(int rank, FlightEventKind kind, const char* what,
   ring.next.store(seq + 1, std::memory_order_release);
 }
 
+void FlightRecorder::begin_tick(arch::Tick tick) {
+  tick_.store(tick, std::memory_order_relaxed);
+  record(-1, FlightEventKind::kPhase, "tick_begin", -1, tick);
+}
+
+void FlightRecorder::end_exchange() {
+  record(-1, FlightEventKind::kPhase, "exchange", -1,
+         tick_.load(std::memory_order_relaxed));
+}
+
+void FlightRecorder::end_tick(const TickView& view) {
+  record(-1, FlightEventKind::kPhase, "tick_end", -1, view.tick, view.fired);
+}
+
 std::uint64_t FlightRecorder::recorded() const {
   std::uint64_t total = 0;
   for (const Ring& ring : rings_) {

@@ -7,8 +7,7 @@
 // every ring has exactly one producer (the thread driving that rank, or the
 // serial master for machine events), the write cursor is a relaxed atomic,
 // and events are fixed-size PODs, so the recorder can run inside the
-// OpenMP-parallel phase loops without synchronisation and costs one pointer
-// test per instrumented site when detached.
+// parallel phase loops without synchronisation.
 //
 // The recorded window (the last `capacity` events per ring) is dumped as
 // JSONL on demand: Compass's drivers trigger a dump on CheckpointError, the
@@ -25,6 +24,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/observer.h"
 
 namespace compass::obs {
 
@@ -54,7 +55,7 @@ struct FlightEvent {
   char what[15] = {};      // fixed-size label, NUL-terminated
 };
 
-class FlightRecorder {
+class FlightRecorder final : public TickObserver {
  public:
   static constexpr std::size_t kDefaultCapacity = 256;  // events per ring
 
@@ -65,11 +66,14 @@ class FlightRecorder {
   int ranks() const { return ranks_; }
   std::size_t capacity() const { return capacity_; }
 
-  /// Set the tick stamped onto subsequent events. Called serially at each
-  /// tick boundary by the runtime; recorded events between calls carry it.
-  void set_tick(std::uint64_t tick) noexcept {
-    tick_.store(tick, std::memory_order_relaxed);
-  }
+  // --- TickObserver hooks: the machine track's phase markers ---------------
+
+  /// Stamps `tick` onto subsequent events and records "tick_begin".
+  void begin_tick(arch::Tick tick) override;
+  /// Records "exchange" once the collective completes.
+  void end_exchange() override;
+  /// Records "tick_end" with the tick's fired-spike count.
+  void end_tick(const TickView& view) override;
 
   /// Record one event into `rank`'s ring (-1 = machine track). Lock-free
   /// single-producer-per-ring; `what` is truncated to the fixed label size.

@@ -55,11 +55,10 @@ double imbalance_factor(const std::vector<RankPhaseSeconds>& ranks,
   return mean > 0.0 ? max / mean : 1.0;
 }
 
-void ProfileCollector::record_rank_times(
-    const std::vector<perf::RankTickTimes>& ranks) {
-  const std::size_t n = std::min(ranks.size(), rank_phase_s_.size());
+void ProfileCollector::end_tick(const TickView& view) {
+  const std::size_t n = std::min(view.rank_times.size(), rank_phase_s_.size());
   for (std::size_t i = 0; i < n; ++i) {
-    const perf::RankTickTimes& r = ranks[i];
+    const perf::RankTickTimes& r = view.rank_times[i];
     RankPhaseSeconds& acc = rank_phase_s_[i];
     // Same leg accounting as the trace spans (compute_s + comm_s), so the
     // offline analyzer reproduces these accumulators from a trace.
@@ -67,12 +66,9 @@ void ProfileCollector::record_rank_times(
     acc.neuron += (r.neuron + r.aggregate) + r.send;
     acc.network += (r.local_deliver + r.remote_deliver) + (r.sync + r.recv);
   }
-}
 
-void ProfileCollector::record_composed(
-    const perf::PhaseBreakdown& composed,
-    const perf::TickAttribution& attribution) {
-  totals_ += composed;
+  const perf::TickAttribution& attribution = view.attribution;
+  totals_ += view.composed;
   ++ticks_;
   sync_s_ += attribution.sync_s;
   hidden_s_ += attribution.hidden_s;
@@ -84,6 +80,19 @@ void ProfileCollector::record_composed(
   bump(attribution.synapse_rank, &RankCriticalCounts::synapse);
   bump(attribution.neuron_rank, &RankCriticalCounts::neuron);
   bump(attribution.network_rank, &RankCriticalCounts::network);
+
+  const std::size_t ranks = std::min(
+      view.rank_counts.size(), static_cast<std::size_t>(matrix_.ranks()));
+  for (std::size_t r = 0; r < ranks; ++r) {
+    const std::uint64_t local = view.rank_counts[r].local_delivered;
+    if (local != 0) matrix_.record_local(static_cast<int>(r), local);
+  }
+}
+
+void ProfileCollector::end_run(RunEnd& out) {
+  run_summary_ = summary();
+  out.profile = &run_summary_;
+  out.comm_matrix = &matrix_;
 }
 
 ProfileSummary ProfileCollector::summary() const {

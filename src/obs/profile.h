@@ -14,7 +14,8 @@
 //     RunReport::routed_spikes while its message/byte row, column, and
 //     grand totals equal RunReport::messages / wire_bytes exactly.
 //   * ProfileCollector  — per-rank, per-phase virtual-time accumulators fed
-//     by the runtime each tick, with derived diagnostics:
+//     by the runtime's end_tick hook (obs/observer.h), with derived
+//     diagnostics:
 //       - load-imbalance factor per phase: max_r(T_r) / mean_r(T_r), 1.0
 //         for a perfectly balanced (or empty) phase;
 //       - critical-rank attribution: how often each rank set each slice of
@@ -42,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/observer.h"
 #include "perf/ledger.h"
 
 namespace compass::obs {
@@ -148,7 +150,7 @@ double imbalance_factor(const std::vector<RankPhaseSeconds>& ranks,
 /// runtime feeds it once per tick and the transports feed comm_matrix()
 /// once per send. Accumulates until destroyed — one collector profiles a
 /// whole run (or several run() calls over the same simulator).
-class ProfileCollector {
+class ProfileCollector final : public TickObserver {
  public:
   explicit ProfileCollector(int ranks)
       : matrix_(ranks),
@@ -159,13 +161,13 @@ class ProfileCollector {
   CommMatrix& comm_matrix() { return matrix_; }
   const CommMatrix& comm_matrix() const { return matrix_; }
 
-  /// Accumulate one tick's per-rank times (called before the ledger resets
-  /// its scratch) ...
-  void record_rank_times(const std::vector<perf::RankTickTimes>& ranks);
-  /// ... and the tick's composed slices + attribution (called after
-  /// commit_tick()).
-  void record_composed(const perf::PhaseBreakdown& composed,
-                       const perf::TickAttribution& attribution);
+  /// Accumulates the tick's per-rank phase seconds, composed slices and
+  /// critical-rank attribution, and the comm matrix's diagonal: spikes
+  /// routed within a rank never touch the transport, so its send path
+  /// cannot see them.
+  void end_tick(const TickView& view) override;
+  /// Hands the summary so far and the comm matrix to the runtime.
+  void end_run(RunEnd& out) override;
 
   ProfileSummary summary() const;
 
@@ -177,6 +179,7 @@ class ProfileCollector {
   std::uint64_t ticks_ = 0;
   double sync_s_ = 0.0;
   double hidden_s_ = 0.0;
+  ProfileSummary run_summary_;  // what the last end_run() handed out
 };
 
 /// Serialize a profile as one JSON object (the --profile-out document and

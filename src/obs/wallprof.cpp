@@ -15,6 +15,7 @@
 #include <unistd.h>
 #endif
 
+#include "arch/kernels.h"
 #include "obs/jsonv.h"
 #include "util/stopwatch.h"
 
@@ -76,6 +77,12 @@ void parse_stats_fields(const jsonv::JsonValue& obj, WallPhaseStats& s,
       s.buckets[b] = hist->array[b].is_integer ? hist->array[b].integer : 0;
     }
   }
+}
+
+KernelDispatchCounts dispatch_counts_now() {
+  const arch::kernels::DispatchCounters c = arch::kernels::dispatch_counters();
+  return {c.synapse_bitparallel, c.synapse_scalar, c.neuron_fast,
+          c.neuron_stoch_soa, c.neuron_scalar};
 }
 
 std::string format_seconds_human(double s) {
@@ -315,14 +322,38 @@ void WallProfiler::add_virtual(int rank, WallPhase phase, double seconds) {
       .virtual_s += seconds;
 }
 
-void WallProfiler::begin_tick() {
-  if (!epoch_set_) {
-    epoch_s_ = util::monotonic_seconds();
-    epoch_set_ = true;
+void WallProfiler::begin_tick(arch::Tick /*tick*/) {
+  if (epoch_set_) return;
+  epoch_s_ = util::monotonic_seconds();
+  epoch_set_ = true;
+  if (options_.count_kernel_dispatch) {
+    arch::kernels::set_dispatch_counting(true);
+    kernel_base_ = dispatch_counts_now();
   }
 }
 
-void WallProfiler::end_tick(std::uint64_t tick) {
+void WallProfiler::end_tick(const TickView& view) {
+  for (std::size_t r = 0; r < view.rank_wall.size(); ++r) {
+    const int rank = static_cast<int>(r);
+    const RankWallTimes& w = view.rank_wall[r];
+    record(rank, WallPhase::kSynapse, w.synapse);
+    record(rank, WallPhase::kNeuron, w.neuron);
+    record(rank, WallPhase::kSend, w.send);
+    record(rank, WallPhase::kNetwork, w.network);
+  }
+  // The modelled (virtual) per-rank phase seconds next to the wall brackets
+  // — the two axes compass_prof --wall divides.
+  for (std::size_t r = 0; r < view.rank_times.size(); ++r) {
+    const int rank = static_cast<int>(r);
+    const perf::RankTickTimes& rt = view.rank_times[r];
+    add_virtual(rank, WallPhase::kSynapse, rt.synapse);
+    add_virtual(rank, WallPhase::kNeuron, rt.neuron + rt.aggregate);
+    add_virtual(rank, WallPhase::kSend, rt.send);
+    add_virtual(rank, WallPhase::kExchange, rt.sync);
+    add_virtual(rank, WallPhase::kNetwork,
+                rt.local_deliver + rt.remote_deliver + rt.recv);
+  }
+
   const double now = util::monotonic_seconds();
   if (!epoch_set_) {
     epoch_s_ = now;
@@ -330,7 +361,7 @@ void WallProfiler::end_tick(std::uint64_t tick) {
   }
   ++ticks_;
   wall_total_s_ = now - epoch_s_;
-  window_.add(tick + 1, wall_total_s_);
+  window_.add(view.tick + 1, wall_total_s_);
   ops_.fetch_add(1, std::memory_order_relaxed);
   if (ticks_ == 1 || (options_.rss_every_ticks != 0 &&
                       ticks_ % options_.rss_every_ticks == 0)) {
@@ -342,8 +373,20 @@ void WallProfiler::end_tick(std::uint64_t tick) {
   }
   if (options_.heartbeat_every_ticks != 0 &&
       ticks_ % options_.heartbeat_every_ticks == 0) {
-    emit_heartbeat(tick);
+    emit_heartbeat(view.tick);
   }
+}
+
+void WallProfiler::end_run(RunEnd& /*out*/) {
+  if (!options_.count_kernel_dispatch || !epoch_set_) return;
+  const KernelDispatchCounts now = dispatch_counts_now();
+  kernels_.synapse_bitparallel =
+      now.synapse_bitparallel - kernel_base_.synapse_bitparallel;
+  kernels_.synapse_scalar = now.synapse_scalar - kernel_base_.synapse_scalar;
+  kernels_.neuron_fast = now.neuron_fast - kernel_base_.neuron_fast;
+  kernels_.neuron_stoch_soa =
+      now.neuron_stoch_soa - kernel_base_.neuron_stoch_soa;
+  kernels_.neuron_scalar = now.neuron_scalar - kernel_base_.neuron_scalar;
 }
 
 void WallProfiler::emit_heartbeat(std::uint64_t tick) {

@@ -8,18 +8,19 @@
 // "fast as the hardware allows" arc (ROADMAP items 1-4).
 //
 // Design constraints (same contract as metrics.h / profile.h):
-//   * Off by default, near-zero cost when detached: every instrumented site
-//     is one pointer test, and the monotonic-clock reads themselves are
-//     guarded behind it (util::monotonic_seconds()).
+//   * Off by default, near-zero cost when detached: the runtime reads the
+//     monotonic clock (util::monotonic_seconds()) only while an observer is
+//     attached (obs/observer.h).
 //   * Deterministic functional output is untouched: wall records ride their
 //     own sink (set_sink), never a trace sink, so golden traces, determinism
 //     suites, and checkpoints stay byte-identical with the profiler on.
-//   * Race-free under the parallel rank loop: record(rank, ...) writes only
-//     that rank's slots (disjoint, like Compass's per-rank counters); the
-//     shared self-overhead op counter is a relaxed atomic.
+//   * Race-free: the runtime brackets each rank's phases into its own
+//     TickView slot inside the parallel rank loop, and the profiler records
+//     them at end_tick() on the driver thread; the shared self-overhead op
+//     counter is a relaxed atomic.
 //
-// Virtual-vs-wall semantics: the per-rank *virtual* phase seconds (fed from
-// the ledger scratch via add_virtual) are what the modelled machine would
+// Virtual-vs-wall semantics: the per-rank *virtual* phase seconds (the
+// ledger's rank times, read at end_tick) are what the modelled machine would
 // spend; the *wall* seconds are what this host actually spent emulating the
 // same region. Their ratio is the emulation slowdown per phase — the number
 // compass_prof --wall reports. They are different axes, not an error bar.
@@ -34,6 +35,7 @@
 #include <atomic>
 
 #include "obs/metrics.h"
+#include "obs/observer.h"
 
 namespace compass::obs {
 
@@ -144,8 +146,8 @@ struct WallprofOptions {
   std::uint64_t rss_every_ticks = 64;
   /// Ticks/s moving-window length, in samples (one sample per tick).
   std::size_t window = 64;
-  /// Have the attaching simulator enable kernel-dispatch counting and report
-  /// snapshot deltas in the summary.
+  /// Enable kernel-dispatch counting at the first tick and report the
+  /// counts since then in the summary (refreshed at every end_run()).
   bool count_kernel_dispatch = true;
 };
 
@@ -181,7 +183,7 @@ struct WallprofSummary {
 void write_wallprof_summary_json(std::ostream& os,
                                  const WallprofSummary& summary);
 
-class WallProfiler {
+class WallProfiler final : public TickObserver {
  public:
   explicit WallProfiler(int ranks, WallprofOptions options = {});
 
@@ -198,11 +200,10 @@ class WallProfiler {
   /// `metrics`. Pass nullptr to detach.
   void set_metrics(MetricsRegistry* metrics);
 
-  // --- Hot-path hooks ------------------------------------------------------
+  // --- Recording ----------------------------------------------------------
 
-  /// Record `seconds` of host wall time against (rank, phase). Safe from the
-  /// parallel rank loop: rank slots are disjoint. `phase` must be one of the
-  /// per-rank phases.
+  /// Record `seconds` of host wall time against (rank, phase). `phase` must
+  /// be one of the per-rank phases.
   void record(int rank, WallPhase phase, double seconds);
 
   /// Record a global (not per-rank) wall measurement — exchange, checkpoint,
@@ -210,17 +211,22 @@ class WallProfiler {
   void record_global(WallPhase phase, double seconds);
 
   /// Accumulate modelled virtual seconds against (rank, phase) for the
-  /// divergence report. Safe from the parallel rank loop.
+  /// divergence report.
   void add_virtual(int rank, WallPhase phase, double seconds);
 
-  /// Driver thread, once per tick before the phase loops. The first call
-  /// pins the run's wall epoch.
-  void begin_tick();
+  // --- TickObserver hooks --------------------------------------------------
 
-  /// Driver thread, once per tick after the phase loops: advances the tick
-  /// count, the rate window, the RSS cadence, and (when due) emits one
-  /// heartbeat record to the sink.
-  void end_tick(std::uint64_t tick);
+  /// The first call pins the run's wall epoch and the kernel-dispatch
+  /// baseline.
+  void begin_tick(arch::Tick tick) override;
+
+  /// Records the view's per-rank wall brackets and virtual phase seconds,
+  /// then advances the tick count, the rate window, the RSS cadence, and
+  /// (when due) emits one heartbeat record to the sink.
+  void end_tick(const TickView& view) override;
+
+  /// Refreshes the kernel-dispatch counts since the baseline.
+  void end_run(RunEnd& out) override;
 
   /// Overwrite the kernel-dispatch delta reported by summary().
   void note_kernel_counts(const KernelDispatchCounts& counts) {
@@ -259,6 +265,7 @@ class WallProfiler {
   std::vector<std::array<WallRankPhase, kRankWallPhases>> rank_;
   std::array<WallPhaseStats, kWallPhaseCount> global_{};
   KernelDispatchCounts kernels_;
+  KernelDispatchCounts kernel_base_;  // counters at the first begin_tick()
 
   std::uint64_t ticks_ = 0;
   double epoch_s_ = 0.0;       // monotonic time of the first begin_tick()

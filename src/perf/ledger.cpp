@@ -65,10 +65,16 @@ PhaseBreakdown compose_tick(const std::vector<RankTickTimes>& ranks,
 }
 
 PhaseBreakdown RunLedger::commit_tick(TickAttribution* attribution) {
-  const PhaseBreakdown tick = compose_tick(scratch_, overlap_, attribution);
+  const PhaseBreakdown tick = commit(scratch_, attribution);
+  for (RankTickTimes& r : scratch_) r = RankTickTimes{};
+  return tick;
+}
+
+PhaseBreakdown RunLedger::commit(const std::vector<RankTickTimes>& ranks,
+                                 TickAttribution* attribution) {
+  const PhaseBreakdown tick = compose_tick(ranks, overlap_, attribution);
   totals_ += tick;
   ++ticks_;
-  for (RankTickTimes& r : scratch_) r = RankTickTimes{};
   return tick;
 }
 

@@ -104,6 +104,9 @@ class RunLedger {
   /// critical-rank/overlap breakdown (profiling).
   std::vector<RankTickTimes>& tick_scratch() { return scratch_; }
   PhaseBreakdown commit_tick(TickAttribution* attribution = nullptr);
+  /// The same for rank times the caller owns and keeps (they are not reset).
+  PhaseBreakdown commit(const std::vector<RankTickTimes>& ranks,
+                        TickAttribution* attribution = nullptr);
 
   const PhaseBreakdown& totals() const { return totals_; }
   std::uint64_t ticks() const { return ticks_; }

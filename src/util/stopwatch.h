@@ -33,8 +33,8 @@ class CpuStopwatch {
 
 /// Monotonic wall-clock reading in seconds (steady_clock epoch). The host
 /// wall-clock profiler brackets phases with two of these; keeping it a free
-/// function lets instrumented sites guard the read behind one pointer test
-/// instead of constructing a Stopwatch unconditionally.
+/// function lets instrumented sites guard the read behind one test instead
+/// of constructing a Stopwatch unconditionally.
 inline double monotonic_seconds() noexcept {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())

@@ -227,7 +227,9 @@ TEST_P(FuzzSweep, ResealedModelMutationsDecodeOrRejectTyped) {
   // the test above never exercises the decoder. Here every mutation of the
   // model section is re-sealed with a valid CRC: the decoder must either
   // accept the bytes or reject them with a typed CheckpointError, never
-  // read out of bounds or index with an unchecked value (asan-ubsan gate).
+  // read out of bounds or index with an unchecked value. Every model it
+  // accepts is then stepped, so a value the decoder lets through cannot
+  // make the runtime index out of bounds either (asan-ubsan gate).
   arch::Model model = random_model(GetParam(), /*cores=*/3);
   const runtime::Partition part =
       runtime::Partition::uniform(model.num_cores(), 1, 1);
@@ -240,7 +242,7 @@ TEST_P(FuzzSweep, ResealedModelMutationsDecodeOrRejectTyped) {
   const std::size_t model_bytes = model.encoded_size();
 
   util::CorePrng prng(util::derive_seed(GetParam(), 0x5EA1));
-  int rejected = 0;
+  int rejected = 0, stepped = 0;
   for (int round = 0; round < 48; ++round) {
     std::string bad = good;
     // Bias towards the fields a flip can make undecodable: the core count,
@@ -267,15 +269,25 @@ TEST_P(FuzzSweep, ResealedModelMutationsDecodeOrRejectTyped) {
     bad[pos] = static_cast<char>(bad[pos] ^
                                  static_cast<char>(1 + prng.uniform_below(255)));
     fx::reseal_model_section(bad);
+    resilience::Checkpoint cp;
     try {
-      (void)resilience::parse_checkpoint(bad);
+      cp = resilience::parse_checkpoint(bad);
     } catch (const resilience::CheckpointError& e) {
       EXPECT_EQ(e.code(), resilience::CheckpointErrc::kSectionCorrupt)
           << "seed=" << GetParam() << " round=" << round << " pos=" << pos;
       ++rejected;
+      continue;
     }
+    const runtime::Partition decoded_part =
+        runtime::Partition::uniform(cp.model.num_cores(), 1, 1);
+    comm::MpiTransport decoded_transport(1, comm::CommCostModel{});
+    runtime::Compass resumed(cp.model, decoded_part, decoded_transport);
+    resumed.set_start_tick(cp.tick);
+    resumed.run(4);
+    ++stepped;
   }
   EXPECT_GT(rejected, 0) << "no mutation reached a decoder check";
+  EXPECT_GT(stepped, 0) << "no mutation decoded";
 }
 
 /// The crossbar invariant: the column mirror equals the transpose

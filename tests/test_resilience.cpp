@@ -438,6 +438,48 @@ TEST(CheckpointFormat, ResealedHugeCoreCountIsRejectedTyped) {
   EXPECT_EQ(rejection_code(bytes), CheckpointErrc::kSectionCorrupt);
 }
 
+/// A checkpoint of rich_model() whose core-1 record has `len` bytes at
+/// `offset` overwritten, re-sealed so the edit reaches the model decoder.
+std::string resealed_rich_edit(std::size_t offset, const void* value,
+                               std::size_t len) {
+  arch::Model model = testing_fixtures::rich_model();
+  const runtime::Partition part = runtime::Partition::uniform(3, 1, 1);
+  comm::MpiTransport transport(1, comm::CommCostModel{});
+  runtime::Compass sim(model, part, transport);
+  sim.run(4);
+  std::string bytes = resilience::serialize_checkpoint(sim, model);
+  std::memcpy(bytes.data() + kModelPayload +
+                  testing_fixtures::core_record_offset(3, 1) + offset,
+              value, len);
+  reseal_model_section(bytes);
+  return bytes;
+}
+
+// CRC-valid models that decode field by field but describe a network the
+// simulator cannot run: the loader validates the whole model and rejects
+// them typed, before the runtime indexes anything with their values.
+// rich_model()'s neuron 1 has a target (j % 5 != 0).
+TEST(CheckpointFormat, ResealedTargetCoreOutOfRangeIsRejectedTyped) {
+  const std::uint32_t core = 3;  // == the model's core count
+  EXPECT_EQ(rejection_code(resealed_rich_edit(
+                testing_fixtures::kTargetsInRecord + 6 * 1, &core, 4)),
+            CheckpointErrc::kSectionCorrupt);
+}
+
+TEST(CheckpointFormat, ResealedZeroDelayIsRejectedTyped) {
+  const std::uint8_t delay = 0;
+  EXPECT_EQ(rejection_code(resealed_rich_edit(
+                testing_fixtures::kTargetsInRecord + 6 * 1 + 5, &delay, 1)),
+            CheckpointErrc::kSectionCorrupt);
+}
+
+TEST(CheckpointFormat, ResealedOutOfRangeNeuronParameterIsRejectedTyped) {
+  const std::int32_t threshold = 0;  // thresholds must be positive
+  EXPECT_EQ(rejection_code(resealed_rich_edit(
+                testing_fixtures::kThresholdInRecord + 4 * 2, &threshold, 4)),
+            CheckpointErrc::kSectionCorrupt);
+}
+
 TEST(CheckpointFormat, ShapeMismatchIsRejected) {
   const Checkpoint cp = small_checkpoint();  // 2 cores
   arch::Model other(3, 3);

@@ -34,6 +34,7 @@
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
 #include "json_lite.h"
+#include "obs/analytics.h"
 #include "obs/flightrec.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -114,6 +115,9 @@ TEST(SpikeTrace, RankMismatchThrows) {
   runtime::Compass sim(model, pcc.partition, transport, {});
   obs::SpikeTracer wrong(4);
   EXPECT_THROW(sim.set_spike_tracer(&wrong), std::invalid_argument);
+  obs::AnalyticsEngine wrong_analytics(
+      4, static_cast<std::uint32_t>(model.num_cores()), {});
+  EXPECT_THROW(sim.set_analytics(&wrong_analytics), std::invalid_argument);
 }
 
 TEST(SpikeTrace, SampledSpansBitIdenticalAcrossTransports) {

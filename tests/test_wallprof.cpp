@@ -203,8 +203,10 @@ TEST(WallProfiler, AccumulatesPerRankAndGlobalPhases) {
 TEST(WallProfiler, TickLoopAdvancesCountAndWallTime) {
   obs::WallProfiler prof(1);
   for (std::uint64_t t = 0; t < 5; ++t) {
-    prof.begin_tick();
-    prof.end_tick(t);
+    prof.begin_tick(t);
+    obs::TickView view;
+    view.tick = t;
+    prof.end_tick(view);
   }
   EXPECT_EQ(prof.ticks(), 5u);
   EXPECT_GE(prof.wall_total_s(), 0.0);
@@ -219,8 +221,10 @@ TEST(WallProfiler, HeartbeatCadenceEmitsRecords) {
   obs::WallProfiler prof(1, opt);
   prof.set_sink(&os);
   for (std::uint64_t t = 0; t < 6; ++t) {
-    prof.begin_tick();
-    prof.end_tick(t);
+    prof.begin_tick(t);
+    obs::TickView view;
+    view.tick = t;
+    prof.end_tick(view);
   }
   const std::string out = os.str();
   std::size_t beats = 0;
@@ -240,11 +244,13 @@ TEST(WallProfiler, SummaryJsonRoundTripsThroughAnalyzer) {
   obs::WallProfiler prof(2, opt);
   prof.set_sink(&os);
   for (std::uint64_t t = 0; t < 4; ++t) {
-    prof.begin_tick();
+    prof.begin_tick(t);
     prof.record(0, obs::WallPhase::kSynapse, 1e-3);
     prof.record(1, obs::WallPhase::kNeuron, 2e-3);
     prof.add_virtual(1, obs::WallPhase::kNeuron, 4e-3);
-    prof.end_tick(t);
+    obs::TickView view;
+    view.tick = t;
+    prof.end_tick(view);
   }
   prof.record_global(obs::WallPhase::kPccCompile, 0.5);
   obs::KernelDispatchCounts kc;
