@@ -19,7 +19,7 @@
 int main(int argc, char** argv) {
   using namespace compass;
   using namespace compass::bench;
-  init_obs(argc, argv);
+  init_no_obs(argc, argv);
 
   const std::uint64_t cores = scaled(4096, 77);  // paper's worked size
 

@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
     runtime::Compass sim(model, pcc.partition, *transport);
     // Virtual-time profiler: the authoritative max/mean per phase, next to
     // the functional spike-count proxies the hook below accumulates.
-    obs::ProfileCollector profiler(nodes);
-    sim.set_profile(&profiler);
+    runtime::RunPlanes planes(outputs(), sim, *transport, *transport,
+                              /*want_profile=*/true);
     std::vector<std::uint64_t> fired(static_cast<std::size_t>(nodes), 0);
     std::vector<std::uint64_t> remote(static_cast<std::size_t>(nodes), 0);
     sim.set_spike_hook([&](arch::Tick, arch::CoreId c, unsigned j) {
@@ -45,6 +45,7 @@ int main(int argc, char** argv) {
       }
     });
     const runtime::RunReport rep = sim.run(ticks);
+    planes.finish(rep);
     const obs::ProfileSummary& prof = *rep.profile;
     int crit_net_rank = 0;
     std::uint64_t crit_net_ticks = 0;

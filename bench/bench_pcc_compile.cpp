@@ -22,7 +22,7 @@
 int main(int argc, char** argv) {
   using namespace compass;
   using namespace compass::bench;
-  init_obs(argc, argv);
+  init_no_obs(argc, argv);
 
   print_header("pcc_compile", "Section IV set-up time claim",
                "in-situ compilation beats explicit model file I/O; compact "

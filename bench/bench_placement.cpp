@@ -15,7 +15,6 @@
 
 #include "common.h"
 #include "comm/torus.h"
-#include "obs/profile.h"
 #include "place/comm_graph.h"
 #include "place/placement.h"
 #include "place/placer.h"
@@ -62,12 +61,13 @@ int main(int argc, char** argv) {
     comm::MpiTransport transport(ranks, comm::CommCostModel{});
     transport.set_hop_model(&topo, placement.node_of_rank);
     runtime::Compass sim(model, placement.partition, transport);
-    obs::ProfileCollector profiler(ranks);
-    sim.set_profile(&profiler);
+    runtime::RunPlanes planes(outputs(), sim, transport, transport,
+                              /*want_profile=*/true);
     const runtime::RunReport rep = sim.run(ticks);
+    planes.finish(rep);
 
     const place::PlacementScore measured = place::evaluate_comm_matrix(
-        profiler.comm_matrix(), placement.node_of_rank, &topo);
+        planes.profile()->comm_matrix(), placement.node_of_rank, &topo);
     if (policy == "uniform") baseline_measured = measured.objective;
     const double gain =
         baseline_measured > 0.0

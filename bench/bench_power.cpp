@@ -31,7 +31,9 @@ int main(int argc, char** argv) {
       arch::Model model = pcc.model;
       auto transport = make_transport(TransportKind::kMpi, 4);
       runtime::Compass sim(model, pcc.partition, *transport);
+      runtime::RunPlanes planes(outputs(), sim, *transport, *transport);
       const runtime::RunReport rep = sim.run(ticks);
+      planes.finish(rep);
 
       const perf::EnergyEstimate e = perf::estimate_energy(
           cores, rep.ticks, rep.fired_spikes, rep.synaptic_events);

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "common.h"
-#include "obs/profile.h"
 #include "resilience/checkpoint.h"
 #include "resilience/checkpoint_manager.h"
 #include "resilience/fault.h"
@@ -120,8 +119,8 @@ int main(int argc, char** argv) {
     resilience::FaultInjectingTransport faulty(inner, plan);
     runtime::Config cfg;
     runtime::Compass sim(model, pcc.partition, faulty, cfg);
-    obs::ProfileCollector profiler(ranks);
-    sim.set_profile(&profiler);
+    runtime::RunPlanes planes(outputs(), sim, faulty, inner,
+                              /*want_profile=*/true);
 
     resilience::CheckpointOptions copt;
     copt.dir = ckpt_base + "_" + resilience::to_string(policy);
@@ -134,10 +133,11 @@ int main(int argc, char** argv) {
     ropt.policy = policy;
     resilience::RecoverySupervisor supervisor(ropt, sim, model, faulty,
                                               manager);
-    supervisor.set_profile(&profiler);
+    supervisor.set_profile(planes.profile());
     supervisor.arm();
 
     const runtime::RunReport rep = sim.run(total_ticks);
+    planes.finish(rep);
 
     Scenario s;
     s.name = resilience::to_string(policy);
@@ -169,7 +169,8 @@ int main(int argc, char** argv) {
 
     // The job aborts at the first boundary past the kill.
     const arch::Tick death = static_cast<arch::Tick>(kill_tick) + 1;
-    sim.run(death);
+    runtime::RunPlanes planes(outputs(), sim, faulty, inner);
+    planes.finish(sim.run(death));
 
     const std::string snapshot = resilience::CheckpointManager::
         latest_at_or_before(copt.dir, kill_tick);
@@ -185,7 +186,9 @@ int main(int argc, char** argv) {
       comm::MpiTransport inner2(ranks, comm::CommCostModel{});
       runtime::Compass resumed(restored, pcc.partition, inner2, cfg);
       resilience::restore(cp, resumed, restored);
-      resumed.run(static_cast<std::uint64_t>(death) - cp.tick);
+      runtime::RunPlanes resumed_planes(outputs(), resumed, inner2, inner2);
+      resumed_planes.finish(
+          resumed.run(static_cast<std::uint64_t>(death) - cp.tick));
       s.recovery_wall_s = sw.elapsed_s();
       s.ticks_lost = static_cast<std::uint64_t>(death) - cp.tick;
       s.cores_rolled = pcc.model.num_cores();

@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
         ++traffic(static_cast<std::size_t>(src), static_cast<std::size_t>(dst));
       }
     });
-    sim.run(ticks);
+    runtime::RunPlanes planes(outputs(), sim, *transport, *transport);
+    planes.finish(sim.run(ticks));
   }
 
   // Hop-weighted cost of a rank->torus-node mapping.

@@ -17,6 +17,7 @@
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
 #include "runtime/compass.h"
+#include "runtime/run_outputs.h"
 #include "util/table.h"
 
 namespace compass::bench {
@@ -24,39 +25,19 @@ namespace compass::bench {
 /// COMPASS_BENCH_SCALE (default 1.0): multiplies model sizes.
 double bench_scale();
 
-/// Observability outputs shared by every run_model() call in a bench
-/// process, set by the flags init_obs() parses. JSONL traces append across
-/// runs in one process; the Chrome trace and the metrics snapshot are
-/// written once at process exit.
-struct ObsOptions {
-  std::string trace_out;    // per-(tick,rank,phase) JSONL
-  std::string chrome_out;   // Chrome-trace/Perfetto JSON
-  std::string metrics_out;  // metrics-registry snapshot JSON
-  std::string profile_out;  // comm-matrix + imbalance profile JSON
-                            // (rewritten per run, so the file holds the
-                            // process's last run)
-  std::string spike_trace_out;      // causal spike-span JSONL (appends
-                                    // across the process's runs)
-  std::uint64_t spike_sample = 64;  // 1-in-N spike sampling
-  std::string wallprof_out;         // host wall-clock profile JSONL (one
-                                    // wallprof summary record appended per
-                                    // run, so a multi-run bench yields one
-                                    // line per measured configuration)
-  std::string analytics_out;        // streaming spike-analytics JSONL
-                                    // (window records append across the
-                                    // process's runs; each run re-emits its
-                                    // config header)
-  std::uint64_t analytics_window = 64;  // analytics window length, ticks
-};
-
-/// Parse the observability flags (--trace-out / --chrome-out /
-/// --metrics-out / --profile-out / --spike-trace-out / --spike-sample /
-/// --wallprof-out / --analytics-out / --analytics-window) from a bench's
-/// argv. Strict: an unknown flag or a stray positional argument
-/// prints usage and exits 1 — a typo'd flag must not silently run the bench
-/// without its outputs. Call once, before the first run_model().
+/// Parse the nine output flags (runtime/run_outputs.h) from a bench's argv
+/// and open their files. Strict: an unknown flag or a stray positional
+/// argument prints usage and exits 1 (a typo'd flag must not silently run
+/// the bench without its outputs); a path that cannot be opened exits 2.
+/// The outputs are finished when the process exits. Call once, first.
 void init_obs(int argc, char** argv);
-const ObsOptions& obs_options();
+
+/// For a bench that simulates nothing: accepts no argument but --help.
+void init_no_obs(int argc, char** argv);
+
+/// The process's outputs, for a bench that builds its own Compass:
+/// attach a runtime::RunPlanes over them and finish() it after the run.
+runtime::RunOutputs& outputs();
 
 /// Scaled count: max(minimum, round(base * bench_scale())).
 std::uint64_t scaled(std::uint64_t base, std::uint64_t minimum = 1);
@@ -78,10 +59,10 @@ enum class TransportKind { kMpi, kPgas };
 std::unique_ptr<comm::Transport> make_transport(TransportKind kind, int ranks);
 
 /// Run `ticks` ticks of `model` (copied) under the given machine shape and
-/// transport; returns the report. With `profile` true (or whenever a
-/// --profile-out destination is configured) a ProfileCollector is attached,
-/// so the returned report carries RunReport::profile — the imbalance /
-/// critical-rank / overlap summary the scaling benches tabulate.
+/// transport, with the planes the output flags ask for; returns the report.
+/// With `profile` true (or whenever --profile-out is set) a ProfileCollector
+/// is attached, so the returned report carries RunReport::profile — the
+/// imbalance / critical-rank / overlap summary the scaling benches tabulate.
 runtime::RunReport run_model(const arch::Model& model,
                              const runtime::Partition& partition,
                              TransportKind kind, arch::Tick ticks,

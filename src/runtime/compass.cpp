@@ -3,6 +3,7 @@
 #include <cassert>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace compass::runtime {
 
@@ -190,6 +191,18 @@ void Compass::attach(Plane* plane, const char* what) {
   if (plane->ranks() != partition_.ranks()) {
     throw std::invalid_argument(std::string("Compass: ") + what +
                                 " rank count does not match partition");
+  }
+  // These three each fill the transport's one slot of their kind, so a
+  // second would silently take the transport away from the first.
+  if constexpr (std::is_same_v<Plane, obs::ProfileCollector> ||
+                std::is_same_v<Plane, obs::WallProfiler> ||
+                std::is_same_v<Plane, obs::FlightRecorder>) {
+    for (obs::TickObserver* o : observers_) {
+      if (dynamic_cast<Plane*>(o) != nullptr) {
+        throw std::invalid_argument(std::string("Compass: second ") + what +
+                                    " (the transport holds only one)");
+      }
+    }
   }
   observers_.push_back(plane);
 }

@@ -157,7 +157,9 @@ class Compass {
   // Each setter wires the plane into the transport where it needs to, then
   // appends it to the tick loop's observer list (obs/observer.h); hooks run
   // in attach order. A plane must be non-null, match the partition's rank
-  // count (std::invalid_argument otherwise) and outlive the simulator.
+  // count and outlive the simulator. The profile collector, wall profiler
+  // and flight recorder attach at most once each, since the transport holds
+  // one of each. Violations throw std::invalid_argument.
   // Unlike a SpikeHook, no plane forces serial execution: the per-spike
   // hooks stage into per-rank state.
 

@@ -241,5 +241,38 @@ TEST(AllObservers, NullOrMismatchedPlaneIsRejected) {
   EXPECT_THROW(sim.set_flight_recorder(&wrong_flight), std::invalid_argument);
 }
 
+// The profile collector, wall profiler and flight recorder each fill the
+// transport's one slot of their kind. A second one would take the slot from
+// the first (whose comm matrix would then stay empty off the diagonal), so
+// it is rejected and the first keeps working.
+TEST(AllObservers, SecondPlaneOfATransportSlotIsRejected) {
+  const compiler::PccResult& pcc = model();
+  arch::Model m = pcc.model;
+  comm::MpiTransport transport(3, comm::CommCostModel{});
+  runtime::Config cfg;
+  cfg.measure = false;
+  runtime::Compass sim(m, pcc.partition, transport, cfg);
+  obs::ProfileCollector profile(3), second_profile(3);
+  obs::WallProfiler wall(3), second_wall(3);
+  obs::FlightRecorder flight(3), second_flight(3);
+  sim.set_profile(&profile);
+  sim.set_wall_profiler(&wall);
+  sim.set_flight_recorder(&flight);
+  EXPECT_THROW(sim.set_profile(&second_profile), std::invalid_argument);
+  EXPECT_THROW(sim.set_profile(&profile), std::invalid_argument);
+  EXPECT_THROW(sim.set_wall_profiler(&second_wall), std::invalid_argument);
+  EXPECT_THROW(sim.set_flight_recorder(&second_flight), std::invalid_argument);
+  // Planes that hold no transport slot may still be attached twice.
+  obs::SpikeTracer tracer(3), second_tracer(3);
+  sim.set_spike_tracer(&tracer);
+  EXPECT_NO_THROW(sim.set_spike_tracer(&second_tracer));
+
+  const runtime::RunReport rep = sim.run(kTicks);
+  ASSERT_GT(rep.remote_spikes, 0u);
+  EXPECT_EQ(profile.comm_matrix().off_diagonal_total().spikes,
+            rep.remote_spikes);
+  EXPECT_EQ(second_profile.comm_matrix().total().spikes, 0u);
+}
+
 }  // namespace
 }  // namespace compass

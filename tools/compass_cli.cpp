@@ -60,13 +60,13 @@
 //       Spike-train statistics over a recorded raster.
 //
 // Exit codes: 0 success, 1 usage error, 2 runtime failure.
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cocomac/macaque.h"
@@ -87,6 +87,8 @@
 #include "resilience/fault.h"
 #include "resilience/recovery.h"
 #include "runtime/compass.h"
+#include "runtime/run_outputs.h"
+#include "util/parse.h"
 #include "util/table.h"
 
 namespace {
@@ -106,11 +108,8 @@ struct Args {
   std::string raster_file;
   std::string model_file;
   std::string output_file;
-  std::string trace_file;
-  std::string chrome_file;
-  std::string metrics_file;
+  runtime::OutputOptions outputs;  // the nine shared output flags
   std::string metrics_prom_file;
-  std::string profile_file;
   bool series = false;
   bool energy = false;
   bool stats = false;
@@ -122,12 +121,7 @@ struct Args {
   std::string restore_path;  // checkpoint file or directory to resume from
   std::string fault_plan;    // resilience::FaultPlan spec ("" = none/env)
   std::string recovery = "abort";  // rank-failure policy (recovery.h)
-  std::string spike_trace_file;   // causal spike-span JSONL ("" = off)
-  std::uint64_t spike_sample = 64;  // sample 1-in-N routed spikes
-  std::string analytics_file;     // streaming-analytics JSONL ("" = off)
-  std::uint64_t analytics_window = 64;  // analytics window in ticks
   std::string flight_file;        // flight-recorder dump path ("" = off)
-  std::string wallprof_file;   // host wall-clock profile JSONL ("" = off)
   std::uint64_t wallprof_heartbeat = 0;  // heartbeat cadence in ticks (0 = off)
   bool progress = false;          // live single-line status on stderr
   bool progress_force = false;    // show it even when stderr is not a TTY
@@ -139,40 +133,8 @@ struct Args {
   int ranks_per_node = 1;      // torus-node grouping for the hop model
 };
 
-/// Checked numeric flag parsing: the whole token must be digits and the
-/// value in [min, max], or the flag is rejected with a clear error. This is
-/// what keeps `--ranks x` or `--threads 0` from silently simulating a
-/// zero-rank machine (std::atoi would return 0 for both).
-std::optional<std::uint64_t> parse_u64_flag(const char* flag, const char* text,
-                                            std::uint64_t min_value,
-                                            std::uint64_t max_value) {
-  const char* p = text;
-  if (*p == '\0') {
-    std::cerr << "compass: " << flag << " requires a number, got ''\n";
-    return std::nullopt;
-  }
-  std::uint64_t v = 0;
-  for (; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') {
-      std::cerr << "compass: " << flag << " requires a non-negative integer, "
-                << "got '" << text << "'\n";
-      return std::nullopt;
-    }
-    const std::uint64_t next = v * 10 + static_cast<std::uint64_t>(*p - '0');
-    if (next < v) {
-      std::cerr << "compass: " << flag << " value '" << text
-                << "' is out of range\n";
-      return std::nullopt;
-    }
-    v = next;
-  }
-  if (v < min_value || v > max_value) {
-    std::cerr << "compass: " << flag << " must be in [" << min_value << ", "
-              << max_value << "], got " << v << "\n";
-    return std::nullopt;
-  }
-  return v;
-}
+constexpr const char* kProg = "compass";
+using util::parse_u64_flag;
 
 void usage(std::ostream& os) {
   os << "usage:\n"
@@ -208,13 +170,32 @@ std::optional<Args> parse_args(int argc, char** argv) {
   args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&](const char* what) -> const char* {
+    // Store the value of flag `a` into `dest`; false (reported) when the
+    // value is missing or, for a number, malformed or outside [lo, hi].
+    auto text = [&](std::string& dest) {
       if (i + 1 >= argc) {
-        std::cerr << "compass: " << what << " requires a value\n";
-        return nullptr;
+        std::cerr << "compass: " << a << " requires a value\n";
+        return false;
       }
-      return argv[++i];
+      dest = argv[++i];
+      return true;
     };
+    auto number = [&](auto& dest, std::uint64_t lo, std::uint64_t hi) {
+      std::string v;
+      if (!text(v)) return false;
+      const auto n = parse_u64_flag(kProg, a, v, lo, hi);
+      if (n) dest = static_cast<std::remove_reference_t<decltype(dest)>>(*n);
+      return n.has_value();
+    };
+    switch (runtime::parse_output_flag(kProg, argc, argv, i, args.outputs)) {
+      case runtime::FlagParse::kTaken:
+        continue;
+      case runtime::FlagParse::kBad:
+        return std::nullopt;
+      case runtime::FlagParse::kNotOurs:
+        break;
+    }
+    bool ok = true;
     if (a == "--macaque") {
       args.macaque = true;
     } else if (a == "--series") {
@@ -225,114 +206,44 @@ std::optional<Args> parse_args(int argc, char** argv) {
       args.stats = true;
     } else if (a == "--no-measure") {
       args.no_measure = true;
-    } else if (a == "--trace-out") {
-      const char* v = next("--trace-out");
-      if (!v) return std::nullopt;
-      args.trace_file = v;
-    } else if (a == "--chrome-out") {
-      const char* v = next("--chrome-out");
-      if (!v) return std::nullopt;
-      args.chrome_file = v;
-    } else if (a == "--metrics-out") {
-      const char* v = next("--metrics-out");
-      if (!v) return std::nullopt;
-      args.metrics_file = v;
     } else if (a == "--metrics-prom") {
-      const char* v = next("--metrics-prom");
-      if (!v) return std::nullopt;
-      args.metrics_prom_file = v;
-    } else if (a == "--profile-out") {
-      const char* v = next("--profile-out");
-      if (!v) return std::nullopt;
-      args.profile_file = v;
-    } else if (a == "--wallprof-out") {
-      const char* v = next("--wallprof-out");
-      if (!v) return std::nullopt;
-      args.wallprof_file = v;
+      ok = text(args.metrics_prom_file);
     } else if (a == "--wallprof-heartbeat") {
-      const char* v = next("--wallprof-heartbeat");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--wallprof-heartbeat", v, 0, UINT64_MAX);
-      if (!n) return std::nullopt;
-      args.wallprof_heartbeat = *n;
+      ok = number(args.wallprof_heartbeat, 0, UINT64_MAX);
     } else if (a == "--progress") {
       args.progress = true;
     } else if (a == "--progress-force") {
       args.progress = true;
       args.progress_force = true;
     } else if (a == "--progress-every-ms") {
-      const char* v = next("--progress-every-ms");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--progress-every-ms", v, 1, 3600000);
-      if (!n) return std::nullopt;
-      args.progress_every_ms = *n;
+      ok = number(args.progress_every_ms, 1, 3600000);
     } else if (a == "--neurons") {
-      const char* v = next("--neurons");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--neurons", v, 0, UINT64_MAX);
-      if (!n) return std::nullopt;
-      args.neurons = *n;
+      ok = number(args.neurons, 0, UINT64_MAX);
     } else if (a == "--cores") {
-      const char* v = next("--cores");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--cores", v, 1, UINT64_MAX);
-      if (!n) return std::nullopt;
-      args.cores = *n;
+      ok = number(args.cores, 1, UINT64_MAX);
     } else if (a == "--seed") {
-      const char* v = next("--seed");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--seed", v, 0, UINT64_MAX);
-      if (!n) return std::nullopt;
-      args.seed = *n;
+      ok = number(args.seed, 0, UINT64_MAX);
     } else if (a == "--ranks") {
-      const char* v = next("--ranks");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--ranks", v, 1, 1u << 20);
-      if (!n) return std::nullopt;
-      args.ranks = static_cast<int>(*n);
+      ok = number(args.ranks, 1, 1u << 20);
     } else if (a == "--threads") {
-      const char* v = next("--threads");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--threads", v, 1, 4096);
-      if (!n) return std::nullopt;
-      args.threads = static_cast<int>(*n);
+      ok = number(args.threads, 1, 4096);
     } else if (a == "--ticks") {
-      const char* v = next("--ticks");
-      if (!v) return std::nullopt;
       // 0 is legal: a restore-then-zero-tick run just reprints the report.
-      const auto n = parse_u64_flag("--ticks", v, 0, UINT64_MAX);
-      if (!n) return std::nullopt;
-      args.ticks = *n;
+      ok = number(args.ticks, 0, UINT64_MAX);
     } else if (a == "--checkpoint-every") {
-      const char* v = next("--checkpoint-every");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--checkpoint-every", v, 1, UINT64_MAX);
-      if (!n) return std::nullopt;
-      args.checkpoint_every = *n;
+      ok = number(args.checkpoint_every, 1, UINT64_MAX);
     } else if (a == "--checkpoint-keep") {
-      const char* v = next("--checkpoint-keep");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--checkpoint-keep", v, 1, 1u << 20);
-      if (!n) return std::nullopt;
-      args.checkpoint_keep = static_cast<int>(*n);
+      ok = number(args.checkpoint_keep, 1, 1u << 20);
     } else if (a == "--checkpoint-dir") {
-      const char* v = next("--checkpoint-dir");
-      if (!v) return std::nullopt;
-      args.checkpoint_dir = v;
+      ok = text(args.checkpoint_dir);
     } else if (a == "--restore") {
-      const char* v = next("--restore");
-      if (!v) return std::nullopt;
-      args.restore_path = v;
+      ok = text(args.restore_path);
     } else if (a == "--fault-plan") {
-      const char* v = next("--fault-plan");
-      if (!v) return std::nullopt;
-      args.fault_plan = v;
+      ok = text(args.fault_plan);
     } else if (a == "--recovery" || a.rfind("--recovery=", 0) == 0) {
       // Both spellings: `--recovery migrate` and `--recovery=migrate`.
       if (a == "--recovery") {
-        const char* v = next("--recovery");
-        if (!v) return std::nullopt;
-        args.recovery = v;
+        if (!text(args.recovery)) return std::nullopt;
       } else {
         args.recovery = a.substr(std::string("--recovery=").size());
       }
@@ -343,70 +254,26 @@ std::optional<Args> parse_args(int argc, char** argv) {
                   << args.recovery << "'\n";
         return std::nullopt;
       }
-    } else if (a == "--spike-trace-out") {
-      const char* v = next("--spike-trace-out");
-      if (!v) return std::nullopt;
-      args.spike_trace_file = v;
-    } else if (a == "--spike-sample") {
-      const char* v = next("--spike-sample");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--spike-sample", v, 1, UINT64_MAX);
-      if (!n) return std::nullopt;
-      args.spike_sample = *n;
-    } else if (a == "--analytics-out") {
-      const char* v = next("--analytics-out");
-      if (!v) return std::nullopt;
-      args.analytics_file = v;
-    } else if (a == "--analytics-window") {
-      const char* v = next("--analytics-window");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--analytics-window", v, 1, UINT64_MAX);
-      if (!n) return std::nullopt;
-      args.analytics_window = *n;
     } else if (a == "--flight-recorder") {
-      const char* v = next("--flight-recorder");
-      if (!v) return std::nullopt;
-      args.flight_file = v;
+      ok = text(args.flight_file);
     } else if (a == "--placement") {
-      const char* v = next("--placement");
-      if (!v) return std::nullopt;
-      args.placement = v;
+      ok = text(args.placement);
     } else if (a == "--placement-seed") {
-      const char* v = next("--placement-seed");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--placement-seed", v, 0, UINT64_MAX);
-      if (!n) return std::nullopt;
-      args.placement_seed = *n;
+      ok = number(args.placement_seed, 0, UINT64_MAX);
     } else if (a == "--placement-out") {
-      const char* v = next("--placement-out");
-      if (!v) return std::nullopt;
-      args.placement_out = v;
+      ok = text(args.placement_out);
     } else if (a == "--placement-in") {
-      const char* v = next("--placement-in");
-      if (!v) return std::nullopt;
-      args.placement_in = v;
+      ok = text(args.placement_in);
     } else if (a == "--ranks-per-node") {
-      const char* v = next("--ranks-per-node");
-      if (!v) return std::nullopt;
-      const auto n = parse_u64_flag("--ranks-per-node", v, 1, 1u << 20);
-      if (!n) return std::nullopt;
-      args.ranks_per_node = static_cast<int>(*n);
+      ok = number(args.ranks_per_node, 1, 1u << 20);
     } else if (a == "--transport") {
-      const char* v = next("--transport");
-      if (!v) return std::nullopt;
-      args.transport = v;
+      ok = text(args.transport);
     } else if (a == "--raster") {
-      const char* v = next("--raster");
-      if (!v) return std::nullopt;
-      args.raster_file = v;
+      ok = text(args.raster_file);
     } else if (a == "--save-model") {
-      const char* v = next("--save-model");
-      if (!v) return std::nullopt;
-      args.model_file = v;
+      ok = text(args.model_file);
     } else if (a == "-o") {
-      const char* v = next("-o");
-      if (!v) return std::nullopt;
-      args.output_file = v;
+      ok = text(args.output_file);
     } else if (!a.empty() && a[0] != '-') {
       if (!args.spec_file.empty()) {
         std::cerr << "compass: unexpected extra argument '" << a
@@ -418,6 +285,7 @@ std::optional<Args> parse_args(int argc, char** argv) {
       std::cerr << "compass: unknown option " << a << "\n";
       return std::nullopt;
     }
+    if (!ok) return std::nullopt;
   }
   return args;
 }
@@ -468,6 +336,19 @@ int cmd_info(const Args& args) {
   return err.empty() ? 0 : 2;
 }
 
+/// The analytics region of every core: the compiler's parcellation.
+std::vector<std::uint32_t> region_of_core(const compiler::PccResult& pcc) {
+  std::vector<std::uint32_t> region(pcc.model.num_cores(), 0);
+  for (std::size_t g = 0; g < pcc.regions.size(); ++g) {
+    const compiler::RegionInfo& r = pcc.regions[g];
+    for (std::int64_t c = 0; c < r.cores; ++c) {
+      region[static_cast<std::size_t>(r.first_core) +
+             static_cast<std::size_t>(c)] = static_cast<std::uint32_t>(g);
+    }
+  }
+  return region;
+}
+
 int cmd_run(const Args& args) {
   compiler::Spec spec = load_spec(args);
   if (args.seed != 42) spec.seed = args.seed;
@@ -476,12 +357,13 @@ int cmd_run(const Args& args) {
     return 1;
   }
 
-  // The metrics registry outlives the run: PCC, the transport, and the
-  // runtime all publish into it, and --metrics-out snapshots it at the end.
-  obs::MetricsRegistry registry;
-  const bool want_metrics =
-      !args.metrics_file.empty() || !args.metrics_prom_file.empty();
-  obs::MetricsRegistry* metrics = want_metrics ? &registry : nullptr;
+  // Every output file is opened here, so a bad path fails before any
+  // compute. The metrics registry outlives the run: PCC, the transport, and
+  // the runtime all publish into it, and --metrics-out snapshots it at the
+  // end.
+  const runtime::OutputOptions& out = args.outputs;
+  runtime::RunOutputs outputs(out, !args.metrics_prom_file.empty());
+  obs::MetricsRegistry* metrics = outputs.metrics();
 
   // The flight recorder is armed before compilation so the pcc begin/end
   // notes land in the window, and the signal handler covers the whole run.
@@ -656,83 +538,19 @@ int cmd_run(const Args& args) {
     ckpt_mgr->attach(sim, pcc.model);
   }
 
-  transport->set_metrics(metrics);
-  sim.set_metrics(metrics);
-  std::optional<obs::ProfileCollector> profiler;
   // The migrate planner wants the measured comm matrix even when the user
-  // did not ask for a profile dump; collect silently in that case.
-  if (!args.profile_file.empty() ||
-      (want_recovery && rpolicy == resilience::RecoveryPolicy::kMigrate)) {
-    profiler.emplace(args.ranks);
-    sim.set_profile(&*profiler);
-  }
-  std::ofstream trace_os;
-  std::optional<obs::JsonlTraceWriter> jsonl;
-  if (!args.trace_file.empty()) {
-    trace_os.open(args.trace_file);
-    if (!trace_os) {
-      std::cerr << "compass: cannot write " << args.trace_file << "\n";
-      return 2;
-    }
-    jsonl.emplace(trace_os);
-    sim.add_trace_sink(&*jsonl);
-  }
-  obs::ChromeTraceWriter chrome;
-  if (!args.chrome_file.empty()) sim.add_trace_sink(&chrome);
-
-  // Causal spike tracing: hop distances come from the *inner* transport (the
-  // fault decorator has no topology of its own), matching the hop charges in
-  // its virtual send times.
-  std::ofstream span_os;
-  std::optional<obs::JsonlSpikeSpanWriter> span_writer;
-  std::optional<obs::SpikeTracer> tracer;
-  if (!args.spike_trace_file.empty()) {
-    span_os.open(args.spike_trace_file);
-    if (!span_os) {
-      std::cerr << "compass: cannot write " << args.spike_trace_file << "\n";
-      return 2;
-    }
-    obs::SpikeTraceOptions topt;
-    topt.sample_every = args.spike_sample;
-    tracer.emplace(args.ranks, topt);
-    tracer->set_hop_model(inner_transport->hop_matrix(),
-                          inner_transport->cost_model().params().hop_latency_s);
-    tracer->set_metrics(metrics);
-    span_writer.emplace(span_os);
-    tracer->add_sink(&*span_writer);
-    sim.set_spike_tracer(&*tracer);
-  }
-
-  // Streaming spike analytics: windowed population/region statistics over
-  // the fired-spike stream, with the region map taken from the compiler's
-  // parcellation so records are attributable to named cortical regions.
-  std::ofstream analytics_os;
-  std::optional<obs::JsonlTraceWriter> analytics_writer;
-  std::optional<obs::AnalyticsEngine> analytics;
-  if (!args.analytics_file.empty()) {
-    analytics_os.open(args.analytics_file);
-    if (!analytics_os) {
-      std::cerr << "compass: cannot write " << args.analytics_file << "\n";
-      return 2;
-    }
-    std::vector<std::uint32_t> core_region(pcc.model.num_cores(), 0);
-    for (std::size_t g = 0; g < pcc.regions.size(); ++g) {
-      const compiler::RegionInfo& r = pcc.regions[g];
-      for (std::int64_t c = 0; c < r.cores; ++c) {
-        core_region[static_cast<std::size_t>(r.first_core) +
-                    static_cast<std::size_t>(c)] = static_cast<std::uint32_t>(g);
-      }
-    }
-    obs::AnalyticsOptions aopt;
-    aopt.window_ticks = args.analytics_window;
-    analytics.emplace(args.ranks,
-                      static_cast<std::uint32_t>(pcc.model.num_cores()),
-                      std::move(core_region), aopt);
-    analytics->set_metrics(metrics);
-    analytics_writer.emplace(analytics_os);
-    analytics->add_sink(&*analytics_writer);
-    sim.set_analytics(&*analytics);
-  }
+  // did not ask for a profile dump; collect silently in that case. Hop
+  // distances come from the *inner* transport (the fault decorator has no
+  // topology of its own), matching the hop charges in its send times.
+  // Analytics records name the compiler's cortical regions.
+  obs::WallprofOptions wopt;
+  wopt.heartbeat_every_ticks = args.wallprof_heartbeat;
+  runtime::RunPlanes planes(
+      outputs, sim, *transport, *inner_transport,
+      want_recovery && rpolicy == resilience::RecoveryPolicy::kMigrate,
+      region_of_core(pcc), wopt);
+  obs::ProfileCollector* profiler = planes.profile();
+  obs::WallProfiler* wallprof = planes.wall_profiler();
 
   std::optional<resilience::RecoverySupervisor> supervisor;
   if (want_recovery) {
@@ -754,34 +572,20 @@ int cmd_run(const Args& args) {
       ropt.node_of_rank = active_placement->node_of_rank;
     }
     supervisor.emplace(ropt, sim, pcc.model, *faulty, *ckpt_mgr);
-    if (profiler) supervisor->set_profile(&*profiler);
+    if (profiler) supervisor->set_profile(profiler);
     supervisor->set_metrics(metrics);
     if (flight) supervisor->set_flight_recorder(&*flight);
     supervisor->arm();
     std::cout << "recovery armed: " << args.recovery << "\n";
   }
 
-  // Host wall-clock profiler: rides its own JSONL sink (never a trace
-  // stream), so functional output stays byte-identical with it attached.
-  // Armed last so every subsystem that records into it already exists.
-  std::ofstream wall_os;
-  std::optional<obs::WallProfiler> wallprof;
-  if (!args.wallprof_file.empty()) {
-    wall_os.open(args.wallprof_file);
-    if (!wall_os) {
-      std::cerr << "compass: cannot write " << args.wallprof_file << "\n";
-      return 2;
-    }
-    obs::WallprofOptions wopt;
-    wopt.heartbeat_every_ticks = args.wallprof_heartbeat;
-    wallprof.emplace(args.ranks, wopt);
-    wallprof->set_sink(&wall_os);
-    wallprof->set_metrics(metrics);
-    sim.set_wall_profiler(&*wallprof);
-    if (ckpt_mgr) ckpt_mgr->set_wall_profiler(&*wallprof);
-    if (supervisor) supervisor->set_wall_profiler(&*wallprof);
-    // Compilation already happened (measured by the PCC itself); charge it
-    // so the summary's pcc_compile bucket reflects this invocation.
+  // The wall profiler reaches the checkpoint and recovery paths only now,
+  // so the supervisor's baseline snapshot stays out of the wall profile.
+  // Compilation already happened (measured by the PCC itself); charge it
+  // so the summary's pcc_compile bucket reflects this invocation.
+  if (wallprof) {
+    if (ckpt_mgr) ckpt_mgr->set_wall_profiler(wallprof);
+    if (supervisor) supervisor->set_wall_profiler(wallprof);
     wallprof->record_global(obs::WallPhase::kPccCompile, pcc.stats.compile_s);
   }
 
@@ -800,10 +604,7 @@ int cmd_run(const Args& args) {
 
   runtime::RunReport rep = sim.run(args.ticks);
   if (progress) progress->finish();
-  if (wallprof) {
-    wallprof->write_summary();
-    wall_os.flush();
-  }
+  planes.finish(rep);
   if (faulty) rep.fault_plan = plan->to_string();
 
   util::Table table({"metric", "value"});
@@ -918,61 +719,32 @@ int cmd_run(const Args& args) {
               << io::ascii_activity(io::per_tick_counts(raster, rep.ticks));
   }
 
-  if (tracer) {
-    span_writer->finish();
-    span_os.flush();
-    std::cout << "\nspike spans (1-in-" << args.spike_sample << " sampling: "
+  outputs.finish(kProg);
+  if (const obs::SpikeTracer* tracer = planes.spike_tracer()) {
+    std::cout << "\nspike spans (1-in-" << out.spike_sample << " sampling: "
               << tracer->sampled_spikes() << " sampled, "
               << tracer->completed_spikes() << " integrated, "
               << tracer->lost_spikes() << " lost) written to "
-              << args.spike_trace_file << "\n";
-    if (span_writer->dropped() > 0) {
-      std::cerr << "compass: WARNING: spike-span writer hit its record cap; "
-                << span_writer->dropped()
-                << " span(s) dropped (raise --spike-sample)\n";
-    }
+              << out.spike_trace_out << "\n";
   }
-  if (analytics) {
-    analytics_os.flush();
+  if (const obs::AnalyticsEngine* analytics = planes.analytics()) {
     std::cout << "\nanalytics (" << analytics->windows_emitted()
-              << " window(s) of " << args.analytics_window << " ticks, "
+              << " window(s) of " << out.analytics_window << " ticks, "
               << analytics->num_regions() << " regions) written to "
-              << args.analytics_file << "\n";
+              << out.analytics_out << "\n";
   }
-  if (!args.trace_file.empty()) {
-    trace_os.flush();
-    std::cout << "\nper-tick trace (JSONL) written to " << args.trace_file
+  if (!out.trace_out.empty()) {
+    std::cout << "\nper-tick trace (JSONL) written to " << out.trace_out
               << "\n";
-    if (jsonl->dropped() > 0) {
-      std::cerr << "compass: WARNING: JSONL trace writer hit its record cap; "
-                << jsonl->dropped() << " record(s) dropped\n";
-    }
   }
-  if (!args.chrome_file.empty()) {
-    std::ofstream os(args.chrome_file);
-    if (!os) {
-      std::cerr << "compass: cannot write " << args.chrome_file << "\n";
-      return 2;
-    }
-    chrome.write(os);
+  if (!out.chrome_out.empty()) {
     std::cout << "Chrome trace (open in Perfetto / chrome://tracing) written "
                  "to "
-              << args.chrome_file << "\n";
-    if (chrome.dropped() > 0) {
-      std::cerr << "compass: WARNING: Chrome trace buffer hit its record cap; "
-                << chrome.dropped()
-                << " record(s) dropped (the view is a prefix of the run)\n";
-    }
+              << out.chrome_out << "\n";
   }
-  if (!args.metrics_file.empty()) {
-    std::ofstream os(args.metrics_file);
-    if (!os) {
-      std::cerr << "compass: cannot write " << args.metrics_file << "\n";
-      return 2;
-    }
-    registry.write_json(os);
-    std::cout << "metrics snapshot (" << registry.size() << " series) written "
-              << "to " << args.metrics_file << "\n";
+  if (!out.metrics_out.empty()) {
+    std::cout << "metrics snapshot (" << metrics->size() << " series) written "
+              << "to " << out.metrics_out << "\n";
   }
   if (!args.metrics_prom_file.empty()) {
     std::ofstream os(args.metrics_prom_file);
@@ -980,7 +752,7 @@ int cmd_run(const Args& args) {
       std::cerr << "compass: cannot write " << args.metrics_prom_file << "\n";
       return 2;
     }
-    os << obs::prometheus_exposition(registry.snapshot());
+    os << obs::prometheus_exposition(metrics->snapshot());
     std::cout << "metrics exposition (Prometheus text) written to "
               << args.metrics_prom_file << "\n";
   }
@@ -993,17 +765,11 @@ int cmd_run(const Args& args) {
                                wallprof->wall_total_s()
                          : 0.0,
                      1)
-              << " ticks/s) written to " << args.wallprof_file << "\n";
+              << " ticks/s) written to " << out.wallprof_out << "\n";
   }
-  if (profiler && !args.profile_file.empty()) {
-    std::ofstream os(args.profile_file);
-    if (!os) {
-      std::cerr << "compass: cannot write " << args.profile_file << "\n";
-      return 2;
-    }
-    obs::write_profile_json(os, *rep.profile, profiler->comm_matrix());
+  if (!out.profile_out.empty()) {
     std::cout << "profile (comm matrix + imbalance) written to "
-              << args.profile_file << "\n";
+              << out.profile_out << "\n";
   }
 
   if (!args.raster_file.empty()) {

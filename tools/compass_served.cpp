@@ -39,8 +39,12 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/server.h"
+#include "util/parse.h"
 
 namespace {
+
+using compass::util::parse_u64_flag;
+constexpr const char* kProg = "compass_served";
 
 compass::serve::Server* g_server = nullptr;
 
@@ -58,36 +62,6 @@ void usage(std::ostream& os) {
         "                      [--exit-on-idle-ms N]\n";
 }
 
-std::optional<std::uint64_t> parse_u64_flag(const char* flag, const char* text,
-                                            std::uint64_t min_value,
-                                            std::uint64_t max_value) {
-  const char* p = text;
-  if (*p == '\0') {
-    std::cerr << "compass_served: " << flag << " requires a number, got ''\n";
-    return std::nullopt;
-  }
-  std::uint64_t v = 0;
-  for (; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') {
-      std::cerr << "compass_served: " << flag
-                << " requires a non-negative integer, got '" << text << "'\n";
-      return std::nullopt;
-    }
-    const std::uint64_t next = v * 10 + static_cast<std::uint64_t>(*p - '0');
-    if (next < v) {
-      std::cerr << "compass_served: " << flag << " value overflows\n";
-      return std::nullopt;
-    }
-    v = next;
-  }
-  if (v < min_value || v > max_value) {
-    std::cerr << "compass_served: " << flag << " must be in [" << min_value
-              << ", " << max_value << "], got " << v << "\n";
-    return std::nullopt;
-  }
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -103,6 +77,13 @@ int main(int argc, char** argv) {
     }
     return argv[++i];
   };
+  // The value of flag argv[i] as a number in [lo, hi]; nullopt (reported)
+  // when it is missing or malformed.
+  const auto number = [&](int& i, std::uint64_t lo, std::uint64_t hi) {
+    const char* flag = argv[i];
+    const char* v = next(i, flag);
+    return v ? parse_u64_flag(kProg, flag, v, lo, hi) : std::nullopt;
+  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -110,9 +91,7 @@ int main(int argc, char** argv) {
       usage(std::cout);
       return 0;
     } else if (a == "--port") {
-      const char* v = next(i, "--port");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--port", v, 0, 65535);
+      const auto n = number(i, 0, 65535);
       if (!n) return 1;
       opts.port = static_cast<std::uint16_t>(*n);
     } else if (a == "--bind") {
@@ -124,46 +103,31 @@ int main(int argc, char** argv) {
       if (!v) return 1;
       port_file = v;
     } else if (a == "--max-sessions") {
-      const char* v = next(i, "--max-sessions");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--max-sessions", v, 1, 4096);
+      const auto n = number(i, 1, 4096);
       if (!n) return 1;
       opts.max_sessions = static_cast<std::uint32_t>(*n);
     } else if (a == "--tick-budget") {
-      const char* v = next(i, "--tick-budget");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--tick-budget", v, 1, 1u << 20);
+      const auto n = number(i, 1, 1u << 20);
       if (!n) return 1;
       opts.tick_budget = *n;
     } else if (a == "--client-queue-bytes") {
-      const char* v = next(i, "--client-queue-bytes");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--client-queue-bytes", v, 1024,
-                                    std::uint64_t{1} << 32);
+      const auto n = number(i, 1024, std::uint64_t{1} << 32);
       if (!n) return 1;
       opts.client_queue_soft_bytes = static_cast<std::size_t>(*n);
     } else if (a == "--stall-ticks") {
-      const char* v = next(i, "--stall-ticks");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--stall-ticks", v, 1, UINT64_MAX);
+      const auto n = number(i, 1, UINT64_MAX);
       if (!n) return 1;
       opts.stall_ticks = *n;
     } else if (a == "--rate-window") {
-      const char* v = next(i, "--rate-window");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--rate-window", v, 1, 1u << 20);
+      const auto n = number(i, 1, 1u << 20);
       if (!n) return 1;
       opts.rate_window_ticks = *n;
     } else if (a == "--analytics-window") {
-      const char* v = next(i, "--analytics-window");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--analytics-window", v, 0, 1u << 20);
+      const auto n = number(i, 0, 1u << 20);
       if (!n) return 1;
       opts.analytics_window_ticks = *n;
     } else if (a == "--heartbeat-ticks") {
-      const char* v = next(i, "--heartbeat-ticks");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--heartbeat-ticks", v, 0, UINT64_MAX);
+      const auto n = number(i, 0, UINT64_MAX);
       if (!n) return 1;
       opts.heartbeat_every_ticks = *n;
     } else if (a == "--trace-out") {
@@ -171,15 +135,11 @@ int main(int argc, char** argv) {
       if (!v) return 1;
       trace_out = v;
     } else if (a == "--max-seconds") {
-      const char* v = next(i, "--max-seconds");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--max-seconds", v, 1, 86400);
+      const auto n = number(i, 1, 86400);
       if (!n) return 1;
       opts.max_seconds = static_cast<double>(*n);
     } else if (a == "--exit-on-idle-ms") {
-      const char* v = next(i, "--exit-on-idle-ms");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--exit-on-idle-ms", v, 1, 86400000);
+      const auto n = number(i, 1, 86400000);
       if (!n) return 1;
       opts.exit_on_idle_s = static_cast<double>(*n) / 1000.0;
     } else {

@@ -35,44 +35,18 @@
 #include <vector>
 
 #include "serve/client.h"
+#include "util/parse.h"
 #include "util/stopwatch.h"
 
 namespace {
+
+using compass::util::parse_u64_flag;
+constexpr const char* kProg = "compass_swarm";
 
 void usage(std::ostream& os) {
   os << "usage: compass_swarm --port N [--host ADDR] [--clients N]\n"
         "                     [--sessions N] [--injects N] [--scenario S]\n"
         "                     [--seed N] [--json PATH]\n";
-}
-
-std::optional<std::uint64_t> parse_u64_flag(const char* flag, const char* text,
-                                            std::uint64_t min_value,
-                                            std::uint64_t max_value) {
-  const char* p = text;
-  if (*p == '\0') {
-    std::cerr << "compass_swarm: " << flag << " requires a number, got ''\n";
-    return std::nullopt;
-  }
-  std::uint64_t v = 0;
-  for (; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') {
-      std::cerr << "compass_swarm: " << flag
-                << " requires a non-negative integer, got '" << text << "'\n";
-      return std::nullopt;
-    }
-    const std::uint64_t next = v * 10 + static_cast<std::uint64_t>(*p - '0');
-    if (next < v) {
-      std::cerr << "compass_swarm: " << flag << " value overflows\n";
-      return std::nullopt;
-    }
-    v = next;
-  }
-  if (v < min_value || v > max_value) {
-    std::cerr << "compass_swarm: " << flag << " must be in [" << min_value
-              << ", " << max_value << "], got " << v << "\n";
-    return std::nullopt;
-  }
-  return v;
 }
 
 struct WorkerResult {
@@ -112,6 +86,13 @@ int main(int argc, char** argv) {
     }
     return argv[++i];
   };
+  // The value of flag argv[i] as a number in [lo, hi]; nullopt (reported)
+  // when it is missing or malformed.
+  const auto number = [&](int& i, std::uint64_t lo, std::uint64_t hi) {
+    const char* flag = argv[i];
+    const char* v = next(i, flag);
+    return v ? parse_u64_flag(kProg, flag, v, lo, hi) : std::nullopt;
+  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -123,28 +104,20 @@ int main(int argc, char** argv) {
       if (!v) return 1;
       host = v;
     } else if (a == "--port") {
-      const char* v = next(i, "--port");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--port", v, 1, 65535);
+      const auto n = number(i, 1, 65535);
       if (!n) return 1;
       port = static_cast<std::uint16_t>(*n);
       have_port = true;
     } else if (a == "--clients") {
-      const char* v = next(i, "--clients");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--clients", v, 1, 4096);
+      const auto n = number(i, 1, 4096);
       if (!n) return 1;
       clients = *n;
     } else if (a == "--sessions") {
-      const char* v = next(i, "--sessions");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--sessions", v, 1, 4096);
+      const auto n = number(i, 1, 4096);
       if (!n) return 1;
       sessions = *n;
     } else if (a == "--injects") {
-      const char* v = next(i, "--injects");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--injects", v, 1, 1u << 20);
+      const auto n = number(i, 1, 1u << 20);
       if (!n) return 1;
       injects = *n;
     } else if (a == "--scenario") {
@@ -152,9 +125,7 @@ int main(int argc, char** argv) {
       if (!v) return 1;
       scenario = v;
     } else if (a == "--seed") {
-      const char* v = next(i, "--seed");
-      if (!v) return 1;
-      const auto n = parse_u64_flag("--seed", v, 0, UINT64_MAX);
+      const auto n = number(i, 0, UINT64_MAX);
       if (!n) return 1;
       seed = *n;
     } else if (a == "--json") {
