@@ -73,8 +73,16 @@ double bench_scale() {
   static const double scale = [] {
     const char* env = std::getenv("COMPASS_BENCH_SCALE");
     if (env == nullptr) return 1.0;
-    const double v = std::atof(env);
-    return v > 0.0 ? v : 1.0;
+    // The whole value must be one positive, finite number: a typo must not
+    // silently run another scale.
+    char* end = nullptr;
+    const double v = std::strtod(env, &end);
+    if (end == env || *end != '\0' || !(v > 0.0) || !std::isfinite(v)) {
+      std::cerr << g_prog << ": COMPASS_BENCH_SCALE='" << env
+                << "' is not a positive number\n";
+      std::exit(1);
+    }
+    return v;
   }();
   return scale;
 }

@@ -22,7 +22,8 @@
 
 namespace compass::bench {
 
-/// COMPASS_BENCH_SCALE (default 1.0): multiplies model sizes.
+/// COMPASS_BENCH_SCALE (default 1.0): multiplies model sizes. A value that
+/// is not one positive number prints an error and exits 1.
 double bench_scale();
 
 /// Parse the nine output flags (runtime/run_outputs.h) from a bench's argv

@@ -50,13 +50,14 @@ int main(int argc, char** argv) {
   // --- 2. Simulate with per-region spike accounting -------------------------
   comm::MpiTransport transport(ranks, comm::CommCostModel{});
   runtime::Compass sim(pcc.model, pcc.partition, transport);
-  std::vector<std::uint64_t> region_spikes(pcc.regions.size(), 0);
-  io::Raster raster;
-  sim.set_spike_hook([&](arch::Tick t, arch::CoreId core, unsigned j) {
-    ++region_spikes[pcc.model.region(core)];
-    raster.record(t, core, j);
-  });
+  io::RasterRecorder recorder(pcc.partition.ranks());
+  sim.attach(&recorder);
   const runtime::RunReport report = sim.run(ticks);
+  const io::Raster& raster = recorder.raster();
+  std::vector<std::uint64_t> region_spikes(pcc.regions.size(), 0);
+  for (const io::RasterEvent& e : raster.events()) {
+    ++region_spikes[pcc.model.region(e.core)];
+  }
 
   // --- 3. Per-region report (largest ten regions) ---------------------------
   util::Table table({"region", "class", "cores", "ranks", "rate_hz"});

@@ -14,6 +14,7 @@
 
 #include "arch/model.h"
 #include "comm/pgas_transport.h"
+#include "io/raster.h"
 #include "primitives/primitives.h"
 #include "runtime/compass.h"
 
@@ -67,16 +68,18 @@ int main() {
   comm::PgasTransport transport(4, comm::CommCostModel{});
   runtime::Compass sim(model, part, transport);
 
+  io::RasterRecorder recorder(part.ranks());
+  sim.attach(&recorder);
+  const runtime::RunReport report = sim.run(300);
+
   std::array<std::uint64_t, 4> wta_wins{};
   std::array<std::uint64_t, 4> ring_hops{};
   std::uint64_t clock_beats = 0;
-  sim.set_spike_hook([&](arch::Tick, arch::CoreId core, unsigned j) {
-    if (core == 1 && j < 64) ++wta_wins[j / 16];
-    if (core >= 2 && core <= 5) ++ring_hops[core - 2];
-    if (core == 6) ++clock_beats;
-  });
-
-  const runtime::RunReport report = sim.run(300);
+  for (const io::RasterEvent& e : recorder.raster().events()) {
+    if (e.core == 1 && e.neuron < 64) ++wta_wins[e.neuron / 16];
+    if (e.core >= 2 && e.core <= 5) ++ring_hops[e.core - 2];
+    if (e.core == 6) ++clock_beats;
+  }
 
   std::cout << "Primitives zoo, 300 simulated ms over " << part.ranks()
             << " PGAS ranks\n\n";

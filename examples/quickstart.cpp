@@ -5,12 +5,13 @@
 // core 1 relays whatever it receives to core 2, and core 2 is a silent
 // integrator we probe at the end. It exercises the whole public API surface:
 // model construction, neuron configuration, partitioning, transports, the
-// simulation loop, and spike hooks.
+// simulation loop, and the raster recorder.
 #include <iostream>
 #include <string>
 
 #include "arch/model.h"
 #include "comm/mpi_transport.h"
+#include "io/raster.h"
 #include "primitives/primitives.h"
 #include "runtime/compass.h"
 
@@ -59,13 +60,15 @@ int main() {
                                   /*threads_per_rank=*/2);
   comm::MpiTransport transport(partition.ranks(), comm::CommCostModel{});
 
-  // --- 3. Simulate 40 ticks with a raster hook ------------------------------
+  // --- 3. Simulate 40 ticks, recording the spike raster ---------------------
   runtime::Compass sim(model, partition, transport);
-  std::cout << "tick : spikes (core.neuron)\n";
-  sim.set_spike_hook([](arch::Tick t, arch::CoreId c, unsigned j) {
-    std::cout << "  " << t << " : " << c << "." << j << "\n";
-  });
+  io::RasterRecorder recorder(partition.ranks());
+  sim.attach(&recorder);
   const runtime::RunReport report = sim.run(40);
+  std::cout << "tick : spikes (core.neuron)\n";
+  for (const io::RasterEvent& e : recorder.raster().events()) {
+    std::cout << "  " << e.tick << " : " << e.core << "." << e.neuron << "\n";
+  }
 
   // --- 4. Report -------------------------------------------------------------
   std::cout << "\nSimulated " << report.ticks << " ticks\n"

@@ -10,6 +10,7 @@
 #include "apps/classifier.h"
 #include "apps/motion.h"
 #include "comm/mpi_transport.h"
+#include "io/raster.h"
 #include "runtime/compass.h"
 
 namespace {
@@ -68,11 +69,8 @@ void motion_detection() {
     const runtime::Partition part = runtime::Partition::uniform(3, 3, 1);
     comm::MpiTransport transport(3, comm::CommCostModel{});
     runtime::Compass sim(model, part, transport);
-    std::uint64_t right = 0, left = 0;
-    sim.set_spike_hook([&](arch::Tick, arch::CoreId c, unsigned j) {
-      if (c != det.detector_core()) return;
-      (apps::MotionDetector::is_rightward(j) ? right : left) += 1;
-    });
+    io::RasterRecorder recorder(part.ranks());
+    sim.attach(&recorder);
 
     // Sweep a spot across the retina at the tuned speed.
     const int start = direction > 0 ? 8 : 56;
@@ -84,6 +82,11 @@ void motion_detection() {
     }
     while (sim.now() < 40) sim.step();
 
+    std::uint64_t right = 0, left = 0;
+    for (const io::RasterEvent& e : recorder.raster().events()) {
+      if (e.core != det.detector_core()) continue;
+      (apps::MotionDetector::is_rightward(e.neuron) ? right : left) += 1;
+    }
     std::cout << "  spot moving " << (direction > 0 ? "right" : "left ")
               << ": rightward cells fired " << right
               << ", leftward cells fired " << left << "\n";

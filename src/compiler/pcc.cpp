@@ -490,7 +490,6 @@ PccResult compile(const Spec& spec, const PccOptions& options,
                  result.stats.gray_connections);
     metrics->add(metrics->counter("pcc.messages", "messages"),
                  result.stats.pcc_messages);
-    metrics->set(metrics->gauge("pcc.compile_s", "s"), result.stats.compile_s);
     metrics->set(metrics->gauge("pcc.ipfp_iterations", "iterations"),
                  static_cast<double>(result.stats.ipfp.iterations));
     if (result.placement) {

@@ -22,6 +22,14 @@ std::size_t Raster::active_ticks() const {
   return ticks.size();
 }
 
+void RasterRecorder::end_compute() {
+  for (Raster& rank : staged_) {
+    raster_.events_.insert(raster_.events_.end(), rank.events_.begin(),
+                           rank.events_.end());
+    rank.clear();
+  }
+}
+
 void Raster::write_text(std::ostream& os) const {
   os << "# tick core neuron\n";
   for (const RasterEvent& e : events_) {

@@ -33,7 +33,6 @@
 // Threading contract (obs/observer.h): on_fire() is called from the
 // (possibly parallel) per-rank Neuron loops and stages into per-rank
 // buffers; begin_tick() / end_tick() run serially at the tick boundaries.
-// Unlike a SpikeHook, an attached engine does NOT force serial execution.
 #pragma once
 
 #include <cstdint>
@@ -164,7 +163,7 @@ class AnalyticsEngine final : public TickObserver {
   /// Serial, at the top of each step.
   void begin_tick(arch::Tick tick) override;
 
-  /// Per *fired* neuron (connected or not — the same stream a raster hook
+  /// Per *fired* neuron (connected or not — the same stream a raster
   /// records, which is what makes offline re-derivation exact), from the
   /// per-rank Neuron loops. Parallel-safe: stages into src_rank's buffer.
   /// Inline and hash-free — the sampling decision is a bit test against a

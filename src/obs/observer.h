@@ -2,10 +2,11 @@
 //
 // runtime::Compass runs the paper's tick loop (Listing 1). Everything that
 // watches the loop — the spike tracer, the analytics engine, the wall
-// profiler, the profile collector and the flight recorder — implements
-// TickObserver. Compass keeps the attached planes in one list and calls
-// each hook on every plane in attach order, so the loop itself names no
-// plane. A plane overrides the hooks it needs; the rest are no-ops.
+// profiler, the profile collector, the flight recorder and the raster
+// recorder (io/raster.h) — implements TickObserver. Compass keeps the
+// attached planes in one list and calls each hook on every plane in attach
+// order, so the loop itself names no plane. A plane overrides the hooks it
+// needs; the rest are no-ops.
 //
 // Threading: on_fire() and on_deliver() run inside the per-rank loops,
 // which run concurrently across ranks under Config::parallel_execution, so

@@ -23,6 +23,10 @@ namespace compass::obs {
 
 namespace {
 
+/// /proc RSS is sampled every this many completed ticks: procfs reads are
+/// ~us-scale, far too hot for every tick.
+constexpr std::uint64_t kRssEveryTicks = 64;
+
 /// Microsecond bucket index, metrics.h-style power-of-two bucketing.
 int bucket_of(double seconds) {
   const double us = seconds * 1e6;
@@ -274,7 +278,7 @@ void write_wallprof_summary_json(std::ostream& os,
 // --- WallProfiler -----------------------------------------------------------
 
 WallProfiler::WallProfiler(int ranks, WallprofOptions options)
-    : ranks_(ranks), options_(options), window_(options.window) {
+    : ranks_(ranks), options_(options) {
   if (ranks_ < 1) {
     throw std::invalid_argument("WallProfiler: ranks must be >= 1");
   }
@@ -326,10 +330,10 @@ void WallProfiler::begin_tick(arch::Tick /*tick*/) {
   if (epoch_set_) return;
   epoch_s_ = util::monotonic_seconds();
   epoch_set_ = true;
-  if (options_.count_kernel_dispatch) {
-    arch::kernels::set_dispatch_counting(true);
-    kernel_base_ = dispatch_counts_now();
-  }
+  // Kernel dispatches count from the first tick; every end_run() refreshes
+  // the summary's counts since then.
+  arch::kernels::set_dispatch_counting(true);
+  kernel_base_ = dispatch_counts_now();
 }
 
 void WallProfiler::end_tick(const TickView& view) {
@@ -363,8 +367,7 @@ void WallProfiler::end_tick(const TickView& view) {
   wall_total_s_ = now - epoch_s_;
   window_.add(view.tick + 1, wall_total_s_);
   ops_.fetch_add(1, std::memory_order_relaxed);
-  if (ticks_ == 1 || (options_.rss_every_ticks != 0 &&
-                      ticks_ % options_.rss_every_ticks == 0)) {
+  if (ticks_ == 1 || ticks_ % kRssEveryTicks == 0) {
     last_resources_ = sample_host_resources();
   }
   if (metrics_ != nullptr) {
@@ -378,7 +381,7 @@ void WallProfiler::end_tick(const TickView& view) {
 }
 
 void WallProfiler::end_run(RunEnd& /*out*/) {
-  if (!options_.count_kernel_dispatch || !epoch_set_) return;
+  if (!epoch_set_) return;
   const KernelDispatchCounts now = dispatch_counts_now();
   kernels_.synapse_bitparallel =
       now.synapse_bitparallel - kernel_base_.synapse_bitparallel;

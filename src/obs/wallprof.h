@@ -141,14 +141,6 @@ struct WallprofOptions {
   /// Emit a {"type":"wallheartbeat"} record every N completed ticks (0 = no
   /// heartbeat records; the end-of-run summary is always written).
   std::uint64_t heartbeat_every_ticks = 0;
-  /// Sample /proc RSS every N completed ticks (procfs reads are ~us-scale,
-  /// far too hot for every tick).
-  std::uint64_t rss_every_ticks = 64;
-  /// Ticks/s moving-window length, in samples (one sample per tick).
-  std::size_t window = 64;
-  /// Enable kernel-dispatch counting at the first tick and report the
-  /// counts since then in the summary (refreshed at every end_run()).
-  bool count_kernel_dispatch = true;
 };
 
 /// One rank's wall + virtual accumulation for the per-rank phases.

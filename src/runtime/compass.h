@@ -22,7 +22,9 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "arch/kernels.h"
@@ -55,9 +57,8 @@ struct Config {
   bool measure = true;
   /// Execute virtual ranks concurrently with OpenMP when the build has it
   /// (the paper's hybrid threading, realised across the emulated ranks).
-  /// Functional results are unchanged — per-rank state is disjoint and
-  /// delivery is order-independent — but a registered spike hook forces
-  /// serial execution (user callbacks are not synchronised).
+  /// Functional results are unchanged: per-rank state is disjoint,
+  /// delivery is order-independent, and observers stage per rank.
   bool parallel_execution = false;
   /// Calibration factor applied to *measured* compute times before they
   /// enter the virtual-time ledger: how much slower the simulated machine's
@@ -117,13 +118,6 @@ struct RunReport {
   }
 };
 
-/// Per-tick series, recorded when enabled (figure 4(b) plots these).
-struct TickSeries {
-  std::vector<std::uint64_t> spikes;
-  std::vector<std::uint64_t> messages;
-  std::vector<std::uint64_t> wire_bytes;
-};
-
 class Compass {
  public:
   /// The model's cores are mutated in place during simulation. `partition`
@@ -131,15 +125,6 @@ class Compass {
   /// equal partition.ranks().
   Compass(arch::Model& model, const Partition& partition,
           comm::Transport& transport, Config config = {});
-
-  /// Observe every fired spike: hook(tick, source core, neuron index).
-  /// Intended for rasters and tests; adds a call per spike when set.
-  using SpikeHook = std::function<void(arch::Tick, arch::CoreId, unsigned)>;
-  void set_spike_hook(SpikeHook hook) { hook_ = std::move(hook); }
-
-  /// Record per-tick spike/message series during run().
-  void enable_tick_series(bool on) { record_series_ = on; }
-  const TickSeries& tick_series() const { return series_; }
 
   /// Attach a trace sink: every tick then emits one obs::SpanRecord per
   /// (rank, phase) plus one composed obs::TickRecord. Sinks must outlive the
@@ -154,26 +139,35 @@ class Compass {
   void set_metrics(obs::MetricsRegistry* metrics);
 
   // --- Observer planes ------------------------------------------------------
-  // Each setter wires the plane into the transport where it needs to, then
-  // appends it to the tick loop's observer list (obs/observer.h); hooks run
-  // in attach order. A plane must be non-null, match the partition's rank
-  // count and outlive the simulator. The profile collector, wall profiler
-  // and flight recorder attach at most once each, since the transport holds
-  // one of each. Violations throw std::invalid_argument.
-  // Unlike a SpikeHook, no plane forces serial execution: the per-spike
+  // Every plane joins the tick loop's observer list (obs/observer.h); hooks
+  // run in attach order. A plane must be non-null, match the partition's
+  // rank count and outlive the simulator. The profile collector, wall
+  // profiler and flight recorder also fill a transport slot, so they attach
+  // through their setters, at most once each. Violations throw
+  // std::invalid_argument. No plane forces serial execution: the per-spike
   // hooks stage into per-rank state.
+
+  /// Attach a plane that needs no transport slot, e.g. an
+  /// io::RasterRecorder for the fired-spike stream. `what` names the plane
+  /// in error messages.
+  template <class Plane>
+  void attach(Plane* plane, const char* what = "observer");
 
   /// Causal spike tracer (src/obs/spiketrace.h): every routed spike is
   /// offered to the tracer's deterministic sampler, and sampled spikes emit
   /// span chains (fire → send → wire → recv → ring → integrate) through the
   /// tracer's sinks.
-  void set_spike_tracer(obs::SpikeTracer* tracer);
+  void set_spike_tracer(obs::SpikeTracer* tracer) {
+    attach(tracer, "spike tracer");
+  }
 
   /// Streaming-analytics engine (src/obs/analytics.h): every *fired* neuron
   /// (the raster stream, before target routing) is staged per rank, each
   /// tick boundary drives the engine's merge and window machinery, and
   /// run() flushes a trailing partial window.
-  void set_analytics(obs::AnalyticsEngine* analytics);
+  void set_analytics(obs::AnalyticsEngine* analytics) {
+    attach(analytics, "analytics engine");
+  }
 
   /// Flight recorder (src/obs/flightrec.h): the machine track records
   /// tick_begin / exchange / tick_end phase events and the current tick, so
@@ -255,8 +249,6 @@ class Compass {
   const Partition& partition() const { return partition_; }
 
  private:
-  template <class Plane>
-  void attach(Plane* plane, const char* what);
   void compute_phases(int rank);
   void send_phase(int rank);
   void network_phase(int rank);
@@ -271,10 +263,7 @@ class Compass {
   arch::Tick tick_ = 0;
   RunReport report_;
   perf::RunLedger ledger_;
-  SpikeHook hook_;
   std::vector<TickCallback> tick_callbacks_;
-  bool record_series_ = false;
-  TickSeries series_;
 
   // Reused per-tick buffers.
   // local_[rank][thread]: spikes for cores on the same rank.
@@ -300,5 +289,29 @@ class Compass {
         synaptic_events, h_fired, h_messages, h_bytes, g_virtual_s;
   } ids_{};
 };
+
+template <class Plane>
+void Compass::attach(Plane* plane, const char* what) {
+  if (plane == nullptr) {
+    throw std::invalid_argument(std::string("Compass: null ") + what);
+  }
+  if (plane->ranks() != partition_.ranks()) {
+    throw std::invalid_argument(std::string("Compass: ") + what +
+                                " rank count does not match partition");
+  }
+  // These three each fill the transport's one slot of their kind, so a
+  // second would silently take the transport away from the first.
+  if constexpr (std::is_same_v<Plane, obs::ProfileCollector> ||
+                std::is_same_v<Plane, obs::WallProfiler> ||
+                std::is_same_v<Plane, obs::FlightRecorder>) {
+    for (obs::TickObserver* o : observers_) {
+      if (dynamic_cast<Plane*>(o) != nullptr) {
+        throw std::invalid_argument(std::string("Compass: second ") + what +
+                                    " (the transport holds only one)");
+      }
+    }
+  }
+  observers_.push_back(plane);
+}
 
 }  // namespace compass::runtime

@@ -97,10 +97,8 @@ Session::Session(const Scenario& scenario, std::uint64_t seed,
   cfg.parallel_execution = false;  // dispatcher thread owns every session
   sim_ = std::make_unique<runtime::Compass>(model_, partition_, *transport_,
                                             cfg);
-  sim_->set_spike_hook([this](arch::Tick, arch::CoreId core, unsigned neuron) {
-    scratch_.push_back({static_cast<std::uint32_t>(core),
-                        static_cast<std::uint16_t>(neuron)});
-  });
+  recorder_ = std::make_unique<io::RasterRecorder>(partition_.ranks());
+  sim_->attach(recorder_.get());
   if (analytics_window > 0) {
     // Region map from the compiled parcellation, exactly as the CLI builds
     // it, so a served analytics line matches a local --analytics-out line
@@ -174,8 +172,12 @@ std::uint64_t Session::step(std::uint64_t budget, const EmitFn& emit) {
   while (pending_ > 0 && stepped < budget) {
     const std::uint64_t tick = sim_->now();
     apply_stimuli(tick);
-    scratch_.clear();
+    recorder_->clear();
     sim_->step();
+    scratch_.clear();
+    for (const io::RasterEvent& e : recorder_->raster().events()) {
+      scratch_.push_back({e.core, e.neuron});
+    }
     total_spikes_ += scratch_.size();
     if (emit) emit(tick, scratch_);
     --pending_;

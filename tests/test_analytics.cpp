@@ -36,13 +36,13 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
+#include "io/raster.h"
 #include "obs/analytics.h"
 #include "obs/jsonv.h"
 #include "obs/trace.h"
@@ -383,9 +383,9 @@ TEST(AnalyticsModel, ByteIdenticalAcrossOmpThreadWidths) {
 }
 
 TEST(AnalyticsModel, OfflineReplayRederivesEveryWindowExactly) {
-  // Record the fired-spike stream (spike hook — the same stream a raster
-  // file captures and the same stream the engine counts), then replay it
-  // through a fresh single-rank engine: every line must come back
+  // Record the fired-spike stream with a raster recorder (the same stream a
+  // raster file captures and the same stream the engine counts), then
+  // replay it through a fresh single-rank engine: every line must come back
   // byte-for-byte. This is the library-level form of
   //   compass_prof --analytics <jsonl> --raster <rst>
   const compiler::PccResult pcc = build_fixed_model();
@@ -397,10 +397,8 @@ TEST(AnalyticsModel, OfflineReplayRederivesEveryWindowExactly) {
   cfg.parallel_execution = false;
   runtime::Compass sim(model, pcc.partition, transport, cfg);
 
-  std::vector<std::tuple<arch::Tick, arch::CoreId, unsigned>> fires;
-  sim.set_spike_hook([&fires](arch::Tick t, arch::CoreId c, unsigned j) {
-    fires.emplace_back(t, c, j);
-  });
+  io::RasterRecorder recorder(pcc.partition.ranks());
+  sim.attach(&recorder);
 
   AnalyticsOptions opt;
   opt.window_ticks = 16;
@@ -411,6 +409,7 @@ TEST(AnalyticsModel, OfflineReplayRederivesEveryWindowExactly) {
   live.add_sink(&live_buf);
   sim.set_analytics(&live);
   sim.run(kModelTicks);
+  const std::vector<io::RasterEvent>& fires = recorder.raster().events();
   ASSERT_FALSE(fires.empty());
 
   // Replay: rank count is irrelevant to the output (per-rank staging merges
@@ -422,8 +421,8 @@ TEST(AnalyticsModel, OfflineReplayRederivesEveryWindowExactly) {
   std::size_t next = 0;
   for (arch::Tick t = 0; t < kModelTicks; ++t) {
     replay.begin_tick(t);
-    while (next < fires.size() && std::get<0>(fires[next]) == t) {
-      replay.on_fire(0, std::get<1>(fires[next]), std::get<2>(fires[next]));
+    while (next < fires.size() && fires[next].tick == t) {
+      replay.on_fire(0, fires[next].core, fires[next].neuron);
       ++next;
     }
     replay.end_tick();

@@ -8,6 +8,7 @@
 #include "apps/classifier.h"
 #include "apps/motion.h"
 #include "comm/mpi_transport.h"
+#include "io/raster.h"
 #include "runtime/compass.h"
 
 namespace compass::apps {
@@ -114,23 +115,30 @@ struct MotionHarness {
   std::unique_ptr<MotionDetector> det;
   runtime::Partition part = runtime::Partition::uniform(3, 3, 1);
   comm::MpiTransport transport{3, comm::CommCostModel{}};
+  io::RasterRecorder recorder{3};
   std::unique_ptr<runtime::Compass> sim;
-  std::uint64_t right_spikes = 0, left_spikes = 0;
 
   explicit MotionHarness(unsigned speed = 2) {
     MotionDetectorOptions opt;
     opt.speed = speed;
     det = std::make_unique<MotionDetector>(model, 0, 1, 2, opt);
     sim = std::make_unique<runtime::Compass>(model, part, transport);
-    sim->set_spike_hook([this](arch::Tick, arch::CoreId c, unsigned j) {
-      if (c != det->detector_core()) return;
-      if (MotionDetector::is_rightward(j)) {
-        ++right_spikes;
-      } else {
-        ++left_spikes;
-      }
-    });
+    sim->attach(&recorder);
   }
+
+  /// Spikes fired so far by the detector's rightward or leftward cells.
+  std::uint64_t detector_spikes(bool rightward) const {
+    std::uint64_t n = 0;
+    for (const io::RasterEvent& e : recorder.raster().events()) {
+      if (e.core == det->detector_core() &&
+          MotionDetector::is_rightward(e.neuron) == rightward) {
+        ++n;
+      }
+    }
+    return n;
+  }
+  std::uint64_t right_spikes() const { return detector_spikes(true); }
+  std::uint64_t left_spikes() const { return detector_spikes(false); }
 
   /// Sweep a spot across the retina: pixel p0 + step*k at tick 1 + speed*k.
   void sweep(int p0, int step, unsigned speed, unsigned frames) {
@@ -149,16 +157,16 @@ TEST(Motion, RightwardSweepFiresOnlyRightCells) {
   MotionHarness h(/*speed=*/2);
   h.sweep(/*p0=*/10, /*step=*/+1, /*speed=*/2, /*frames=*/12);
   while (h.sim->now() < 40) h.sim->step();
-  EXPECT_GT(h.right_spikes, 5u);
-  EXPECT_EQ(h.left_spikes, 0u);
+  EXPECT_GT(h.right_spikes(), 5u);
+  EXPECT_EQ(h.left_spikes(), 0u);
 }
 
 TEST(Motion, LeftwardSweepFiresOnlyLeftCells) {
   MotionHarness h(2);
   h.sweep(40, -1, 2, 12);
   while (h.sim->now() < 40) h.sim->step();
-  EXPECT_GT(h.left_spikes, 5u);
-  EXPECT_EQ(h.right_spikes, 0u);
+  EXPECT_GT(h.left_spikes(), 5u);
+  EXPECT_EQ(h.right_spikes(), 0u);
 }
 
 TEST(Motion, WrongSpeedIsRejected) {
@@ -166,8 +174,8 @@ TEST(Motion, WrongSpeedIsRejected) {
   MotionHarness h(/*speed=*/4);
   h.sweep(10, +1, /*speed=*/1, 12);
   while (h.sim->now() < 40) h.sim->step();
-  EXPECT_EQ(h.right_spikes, 0u);
-  EXPECT_EQ(h.left_spikes, 0u);
+  EXPECT_EQ(h.right_spikes(), 0u);
+  EXPECT_EQ(h.left_spikes(), 0u);
 }
 
 TEST(Motion, StaticFlickerIsIgnored) {
@@ -177,8 +185,8 @@ TEST(Motion, StaticFlickerIsIgnored) {
     while (h.sim->now() + arch::kMaxDelay < 1 + 2 * (k + 1)) h.sim->step();
   }
   while (h.sim->now() < 30) h.sim->step();
-  EXPECT_EQ(h.right_spikes, 0u);
-  EXPECT_EQ(h.left_spikes, 0u);
+  EXPECT_EQ(h.right_spikes(), 0u);
+  EXPECT_EQ(h.left_spikes(), 0u);
 }
 
 TEST(Motion, ValidatesConfiguration) {

@@ -16,6 +16,8 @@
 #include "arch/model.h"
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
+#include "io/raster.h"
+#include "obs/trace.h"
 #include "primitives/primitives.h"
 
 namespace compass::runtime {
@@ -24,8 +26,6 @@ namespace {
 using arch::CoreId;
 using arch::Model;
 using arch::Tick;
-
-using TraceEvent = std::tuple<Tick, CoreId, unsigned>;
 
 std::unique_ptr<comm::Transport> make_transport(const std::string& kind,
                                                 int ranks) {
@@ -47,19 +47,17 @@ Model ring_model(std::size_t cores, std::uint8_t delay = 1) {
 }
 
 /// Run a model copy and collect the full spike trace.
-std::vector<TraceEvent> run_trace(const Model& model, int ranks, int threads,
-                                  const std::string& transport_kind,
-                                  Tick ticks, Config cfg = {}) {
+io::Raster run_trace(const Model& model, int ranks, int threads,
+                     const std::string& transport_kind, Tick ticks,
+                     Config cfg = {}) {
   Model copy = model;
   const Partition part = Partition::uniform(copy.num_cores(), ranks, threads);
   auto transport = make_transport(transport_kind, ranks);
   Compass sim(copy, part, *transport, cfg);
-  std::vector<TraceEvent> trace;
-  sim.set_spike_hook([&](Tick t, CoreId c, unsigned j) {
-    trace.emplace_back(t, c, j);
-  });
+  io::RasterRecorder recorder(ranks);
+  sim.attach(&recorder);
   sim.run(ticks);
-  return trace;
+  return recorder.raster();
 }
 
 TEST(Compass, ConstructorValidatesPartitionSize) {
@@ -146,20 +144,20 @@ TEST(Compass, NonAggregatedSendsOneMessagePerSpike) {
   EXPECT_EQ(r.messages, r.remote_spikes);  // ablation A1 baseline
 }
 
-TEST(Compass, TickSeriesMatchesAggregates) {
+TEST(Compass, TickRecordsMatchAggregates) {
   Model m = ring_model(8);
   const Partition part = Partition::uniform(8, 2, 1);
   auto transport = make_transport("mpi", 2);
   Compass sim(m, part, *transport);
-  sim.enable_tick_series(true);
+  obs::TraceBuffer trace;
+  sim.add_trace_sink(&trace);
   const RunReport r = sim.run(15);
-  const TickSeries& s = sim.tick_series();
-  ASSERT_EQ(s.spikes.size(), 15u);
+  ASSERT_EQ(trace.ticks().size(), 15u);
   std::uint64_t spikes = 0, messages = 0, bytes = 0;
-  for (std::size_t i = 0; i < 15; ++i) {
-    spikes += s.spikes[i];
-    messages += s.messages[i];
-    bytes += s.wire_bytes[i];
+  for (const obs::TickRecord& t : trace.ticks()) {
+    spikes += t.fired;
+    messages += t.messages;
+    bytes += t.bytes;
   }
   EXPECT_EQ(spikes, r.fired_spikes);
   EXPECT_EQ(messages, r.messages);
@@ -233,10 +231,10 @@ class DeterminismSweep
 TEST_P(DeterminismSweep, TraceMatchesReferenceConfiguration) {
   const auto [ranks, threads, kind] = GetParam();
   const Model m = stochastic_model();
-  const std::vector<TraceEvent> reference =
+  const io::Raster reference =
       run_trace(m, /*ranks=*/1, /*threads=*/1, "mpi", /*ticks=*/30);
   EXPECT_FALSE(reference.empty());
-  const std::vector<TraceEvent> got = run_trace(m, ranks, threads, kind, 30);
+  const io::Raster got = run_trace(m, ranks, threads, kind, 30);
   EXPECT_EQ(got, reference)
       << "ranks=" << ranks << " threads=" << threads << " kind=" << kind;
 }

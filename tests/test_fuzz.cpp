@@ -17,6 +17,7 @@
 #include "arch/model.h"
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
+#include "io/raster.h"
 #include "resilience/checkpoint.h"
 #include "runtime/compass.h"
 #include "serve/client.h"
@@ -29,7 +30,7 @@ namespace {
 
 using arch::CoreId;
 using arch::Tick;
-using TraceEvent = std::tuple<Tick, CoreId, unsigned>;
+using TraceEvent = io::RasterEvent;
 
 /// Generate a random, fully valid model: random crossbar density, random
 /// neuron parameters across the whole legal envelope (all reset modes, all
@@ -93,11 +94,11 @@ RunResult run(const arch::Model& model, int ranks, int threads,
     transport = std::make_unique<comm::MpiTransport>(ranks, comm::CommCostModel{});
   }
   runtime::Compass sim(copy, part, *transport);
+  io::RasterRecorder recorder(ranks);
+  sim.attach(&recorder);
   RunResult out;
-  sim.set_spike_hook([&](Tick t, CoreId c, unsigned j) {
-    out.trace.emplace_back(t, c, j);
-  });
   out.report = sim.run(ticks);
+  out.trace = recorder.raster().events();
   return out;
 }
 
@@ -145,10 +146,8 @@ TEST_P(FuzzSweep, CheckpointMidRunResumesExactly) {
   const runtime::Partition part = runtime::Partition::uniform(first.num_cores(), 2, 1);
   comm::MpiTransport t1(2, comm::CommCostModel{});
   runtime::Compass sim1(first, part, t1);
-  std::vector<TraceEvent> trace;
-  sim1.set_spike_hook([&](Tick t, CoreId c, unsigned j) {
-    trace.emplace_back(t, c, j);
-  });
+  io::RasterRecorder first_trace(2);
+  sim1.attach(&first_trace);
   sim1.run(13);  // odd split on purpose
 
   std::stringstream snapshot;
@@ -157,11 +156,13 @@ TEST_P(FuzzSweep, CheckpointMidRunResumesExactly) {
   comm::MpiTransport t2(2, comm::CommCostModel{});
   runtime::Compass sim2(resumed, part, t2);
   sim2.set_start_tick(13);
-  sim2.set_spike_hook([&](Tick t, CoreId c, unsigned j) {
-    trace.emplace_back(t, c, j);
-  });
+  io::RasterRecorder second_trace(2);
+  sim2.attach(&second_trace);
   sim2.run(17);
 
+  std::vector<TraceEvent> trace = first_trace.raster().events();
+  trace.insert(trace.end(), second_trace.raster().events().begin(),
+               second_trace.raster().events().end());
   EXPECT_EQ(trace, full.trace);
 }
 

@@ -13,6 +13,7 @@
 #include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
 #include "compiler/pcc.h"
+#include "obs/trace.h"
 #include "runtime/compass.h"
 
 namespace compass {
@@ -54,7 +55,8 @@ TEST(Golden, SimulationTraceIsFrozen) {
   compiler::PccResult pcc = golden_compile();
   comm::MpiTransport transport(3, comm::CommCostModel{});
   runtime::Compass sim(pcc.model, pcc.partition, transport);
-  sim.enable_tick_series(true);
+  obs::TraceBuffer trace;
+  sim.add_trace_sink(&trace);
   const runtime::RunReport rep = sim.run(30);
 
   EXPECT_EQ(rep.fired_spikes, kGoldenFired);
@@ -64,10 +66,9 @@ TEST(Golden, SimulationTraceIsFrozen) {
   EXPECT_EQ(rep.messages, kGoldenMessages);
   EXPECT_EQ(rep.synaptic_events, kGoldenSynapticEvents);
 
-  const runtime::TickSeries& s = sim.tick_series();
-  ASSERT_EQ(s.spikes.size(), 30u);
+  ASSERT_EQ(trace.ticks().size(), 30u);
   for (std::size_t i = 0; i < 30; ++i) {
-    EXPECT_EQ(s.spikes[i], kGoldenSeries[i]) << "tick " << i;
+    EXPECT_EQ(trace.ticks()[i].fired, kGoldenSeries[i]) << "tick " << i;
   }
 }
 

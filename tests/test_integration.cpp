@@ -5,21 +5,18 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
+#include "io/raster.h"
+#include "obs/trace.h"
 #include "runtime/compass.h"
 
 namespace compass {
 namespace {
-
-using arch::CoreId;
-using arch::Tick;
-using TraceEvent = std::tuple<Tick, CoreId, unsigned>;
 
 compiler::PccResult compile_macaque(std::uint64_t cores, int ranks,
                                     double rate_hz = 8.0) {
@@ -89,11 +86,10 @@ TEST(MacaquePipeline, TransportEquivalenceOnFullModel) {
       transport = std::make_unique<comm::PgasTransport>(4, comm::CommCostModel{});
     }
     runtime::Compass sim(model, base.partition, *transport);
-    std::vector<TraceEvent> trace;
-    sim.set_spike_hook(
-        [&](Tick t, CoreId c, unsigned j) { trace.emplace_back(t, c, j); });
+    io::RasterRecorder recorder(4);
+    sim.attach(&recorder);
     sim.run(60);
-    return trace;
+    return recorder.raster();
   };
 
   const auto mpi_trace = run_with("mpi");
@@ -114,11 +110,10 @@ TEST(MacaquePipeline, RankCountInvariance) {
         runtime::Partition::uniform(model.num_cores(), ranks, 2);
     comm::MpiTransport transport(ranks, comm::CommCostModel{});
     runtime::Compass sim(model, part, transport);
-    std::vector<TraceEvent> trace;
-    sim.set_spike_hook(
-        [&](Tick t, CoreId c, unsigned j) { trace.emplace_back(t, c, j); });
+    io::RasterRecorder recorder(ranks);
+    sim.attach(&recorder);
     sim.run(50);
-    return trace;
+    return recorder.raster();
   };
   EXPECT_EQ(run_with_ranks(1), run_with_ranks(4));
   // And the 1-rank compile is itself a valid model.
@@ -132,18 +127,16 @@ TEST(MacaquePipeline, CheckpointRestartContinuesIdentically) {
   arch::Model ref_model = r.model;
   comm::MpiTransport t1(2, comm::CommCostModel{});
   runtime::Compass ref(ref_model, r.partition, t1);
-  std::vector<TraceEvent> ref_trace;
-  ref.set_spike_hook(
-      [&](Tick t, CoreId c, unsigned j) { ref_trace.emplace_back(t, c, j); });
+  io::RasterRecorder ref_trace(2);
+  ref.attach(&ref_trace);
   ref.run(40);
 
   // Checkpointed: run 20, save, load, run 20 more.
   arch::Model half_model = r.model;
   comm::MpiTransport t2(2, comm::CommCostModel{});
   runtime::Compass first(half_model, r.partition, t2);
-  std::vector<TraceEvent> trace;
-  first.set_spike_hook(
-      [&](Tick t, CoreId c, unsigned j) { trace.emplace_back(t, c, j); });
+  io::RasterRecorder first_trace(2);
+  first.attach(&first_trace);
   first.run(20);
 
   std::stringstream checkpoint;
@@ -152,11 +145,14 @@ TEST(MacaquePipeline, CheckpointRestartContinuesIdentically) {
   comm::MpiTransport t3(2, comm::CommCostModel{});
   runtime::Compass second(resumed, r.partition, t3);
   second.set_start_tick(20);  // resume at the checkpointed absolute tick
-  second.set_spike_hook(
-      [&](Tick t, CoreId c, unsigned j) { trace.emplace_back(t, c, j); });
+  io::RasterRecorder second_trace(2);
+  second.attach(&second_trace);
   second.run(20);
 
-  EXPECT_EQ(trace, ref_trace);
+  std::vector<io::RasterEvent> trace = first_trace.raster().events();
+  trace.insert(trace.end(), second_trace.raster().events().begin(),
+               second_trace.raster().events().end());
+  EXPECT_EQ(trace, ref_trace.raster().events());
 }
 
 TEST(MacaquePipeline, InventoryScalesWithCores) {
@@ -171,17 +167,17 @@ TEST(MacaquePipeline, InventoryScalesWithCores) {
   EXPECT_GT(b.synapses, a.synapses);
 }
 
-TEST(MacaquePipeline, TickSeriesShowsSustainedActivity) {
+TEST(MacaquePipeline, TickRecordsShowSustainedActivity) {
   compiler::PccResult r = compile_macaque(96, 2);
   comm::MpiTransport transport(2, comm::CommCostModel{});
   runtime::Compass sim(r.model, r.partition, transport);
-  sim.enable_tick_series(true);
+  obs::TraceBuffer trace;
+  sim.add_trace_sink(&trace);
   sim.run(200);
-  const runtime::TickSeries& s = sim.tick_series();
   // Activity must not die out or explode: the last 100 ticks keep firing
   // and stay below saturation.
   std::uint64_t tail = 0;
-  for (std::size_t i = 100; i < 200; ++i) tail += s.spikes[i];
+  for (std::size_t i = 100; i < 200; ++i) tail += trace.ticks()[i].fired;
   const double per_tick = static_cast<double>(tail) / 100.0;
   const double neurons = 96.0 * 256.0;
   EXPECT_GT(per_tick, neurons * 0.001);  // > 1 Hz
@@ -209,11 +205,13 @@ edge SINK SRC 0.1
 
   comm::MpiTransport transport(3, comm::CommCostModel{});
   runtime::Compass sim(pcc.model, pcc.partition, transport);
-  std::vector<std::uint64_t> region_spikes(3, 0);
-  sim.set_spike_hook([&](Tick, CoreId c, unsigned) {
-    ++region_spikes[pcc.model.region(c)];
-  });
+  io::RasterRecorder recorder(3);
+  sim.attach(&recorder);
   sim.run(300);
+  std::vector<std::uint64_t> region_spikes(3, 0);
+  for (const io::RasterEvent& e : recorder.raster().events()) {
+    ++region_spikes[pcc.model.region(e.core)];
+  }
 
   EXPECT_GT(region_spikes[0], 0u) << "source must fire";
   EXPECT_GT(region_spikes[1], 0u) << "relay must propagate";

@@ -18,6 +18,7 @@
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
+#include "io/raster.h"
 #include "obs/analytics.h"
 #include "obs/flightrec.h"
 #include "obs/metrics.h"
@@ -239,6 +240,10 @@ TEST(AllObservers, NullOrMismatchedPlaneIsRejected) {
   EXPECT_THROW(sim.set_flight_recorder(nullptr), std::invalid_argument);
   obs::FlightRecorder wrong_flight(4);
   EXPECT_THROW(sim.set_flight_recorder(&wrong_flight), std::invalid_argument);
+  EXPECT_THROW(sim.attach(static_cast<io::RasterRecorder*>(nullptr)),
+               std::invalid_argument);
+  io::RasterRecorder wrong_recorder(4);
+  EXPECT_THROW(sim.attach(&wrong_recorder), std::invalid_argument);
 }
 
 // The profile collector, wall profiler and flight recorder each fill the

@@ -1,13 +1,18 @@
 // Tests for the OpenMP parallel-execution mode: functional results must be
 // identical to serial execution (per-rank state is disjoint and spike
-// delivery is order-independent), and hooks must force serial execution.
+// delivery is order-independent), and so must the recorded spike raster.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
+#include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
+#include "io/raster.h"
 #include "runtime/compass.h"
 
 namespace compass::runtime {
@@ -51,17 +56,37 @@ TEST(ParallelExecution, FunctionalResultsMatchSerial) {
   EXPECT_TRUE(serial_model == parallel_model);
 }
 
-TEST(ParallelExecution, HookForcesSerialAndStaysCorrect) {
+// The raster recorder stages each rank's spikes in that rank's own buffer,
+// so the ranks keep running concurrently while it records, and the raster
+// it writes is the serial run's, byte for byte.
+TEST(ParallelExecution, RecorderRasterEqualsSerialOnBothTransports) {
   const compiler::PccResult pcc = build(80, 3);
-  arch::Model model = pcc.model;
-  comm::MpiTransport transport(3, comm::CommCostModel{});
-  Config cfg;
-  cfg.parallel_execution = true;  // hook below overrides this
-  Compass sim(model, pcc.partition, transport, cfg);
-  std::uint64_t hooked = 0;
-  sim.set_spike_hook([&](arch::Tick, arch::CoreId, unsigned) { ++hooked; });
-  const RunReport rep = sim.run(40);
-  EXPECT_EQ(hooked, rep.fired_spikes);
+  auto raster_bytes = [&](bool pgas, bool parallel) {
+    arch::Model model = pcc.model;
+    std::unique_ptr<comm::Transport> transport;
+    if (pgas) {
+      transport =
+          std::make_unique<comm::PgasTransport>(3, comm::CommCostModel{});
+    } else {
+      transport =
+          std::make_unique<comm::MpiTransport>(3, comm::CommCostModel{});
+    }
+    Config cfg;
+    cfg.measure = false;
+    cfg.parallel_execution = parallel;
+    Compass sim(model, pcc.partition, *transport, cfg);
+    io::RasterRecorder recorder(pcc.partition.ranks());
+    sim.attach(&recorder);
+    const RunReport rep = sim.run(40);
+    EXPECT_EQ(recorder.raster().size(), rep.fired_spikes);
+    std::ostringstream os;
+    recorder.raster().write_binary(os);
+    return os.str();
+  };
+  const std::string serial = raster_bytes(/*pgas=*/false, /*parallel=*/false);
+  ASSERT_GT(serial.size(), 16u) << "the run must fire";
+  EXPECT_EQ(raster_bytes(/*pgas=*/false, /*parallel=*/true), serial) << "mpi";
+  EXPECT_EQ(raster_bytes(/*pgas=*/true, /*parallel=*/true), serial) << "pgas";
 }
 
 TEST(ParallelExecution, CountersSurviveManySmallTicks) {

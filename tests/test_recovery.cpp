@@ -28,13 +28,13 @@
 #include <random>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
+#include "io/raster.h"
 #include "obs/flightrec.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -62,7 +62,7 @@ using resilience::RecoveryError;
 using resilience::RecoveryOptions;
 using resilience::RecoveryPolicy;
 using resilience::RecoverySupervisor;
-using SpikeEvent = std::tuple<Tick, CoreId, unsigned>;
+using SpikeEvent = io::RasterEvent;
 
 /// The frozen seed-2012 network the other lockdown suites also use.
 compiler::PccResult build_fixed_model(int ranks = 3, int threads = 2) {
@@ -116,7 +116,7 @@ struct RecoveryRun {
   std::unique_ptr<runtime::Compass> sim;
   std::unique_ptr<CheckpointManager> manager;
   std::unique_ptr<RecoverySupervisor> supervisor;
-  std::vector<SpikeEvent> spikes;
+  std::unique_ptr<io::RasterRecorder> recorder;
   std::ostringstream trace_os;
   std::unique_ptr<obs::JsonlTraceWriter> trace;
 
@@ -130,9 +130,8 @@ struct RecoveryRun {
     runtime::Config cfg;
     cfg.measure = false;  // modelled times only: runs compare byte-for-byte
     sim = std::make_unique<runtime::Compass>(model, partition, *faulty, cfg);
-    sim->set_spike_hook([this](Tick t, CoreId c, unsigned j) {
-      spikes.emplace_back(t, c, j);
-    });
+    recorder = std::make_unique<io::RasterRecorder>(partition.ranks());
+    sim->attach(recorder.get());
     trace = std::make_unique<obs::JsonlTraceWriter>(
         trace_os, obs::JsonlOptions{.include_measured = false});
     sim->add_trace_sink(trace.get());
@@ -148,6 +147,10 @@ struct RecoveryRun {
     ropt.policy = policy;
     supervisor = std::make_unique<RecoverySupervisor>(ropt, *sim, model,
                                                       *faulty, *manager);
+  }
+
+  const std::vector<SpikeEvent>& spikes() const {
+    return recorder->raster().events();
   }
 };
 
@@ -441,7 +444,7 @@ TEST(RecoverySupervisor, AbortPolicyIsBitForBitInert) {
   EXPECT_EQ(rep_armed.recoveries, 0u);
   EXPECT_TRUE(armed.supervisor->events().empty());
   EXPECT_EQ(model_bytes(plain.model), model_bytes(armed.model));
-  EXPECT_EQ(plain.spikes, armed.spikes);
+  EXPECT_EQ(plain.spikes(), armed.spikes());
   EXPECT_EQ(plain.trace_os.str(), armed.trace_os.str());
   EXPECT_EQ(rep_plain.fired_spikes, rep_armed.fired_spikes);
   EXPECT_EQ(rep_plain.spikes_lost, rep_armed.spikes_lost);
@@ -471,7 +474,7 @@ TEST(RecoveryDeterminism, MigrateIsByteIdenticalAcrossTransports) {
   EXPECT_EQ(rep_mpi.recoveries, 1u);
   EXPECT_EQ(rep_pgas.recoveries, 1u);
   EXPECT_EQ(model_bytes(mpi.model), model_bytes(pgas.model));
-  EXPECT_EQ(mpi.spikes, pgas.spikes);
+  EXPECT_EQ(mpi.spikes(), pgas.spikes());
   EXPECT_EQ(rep_mpi.fired_spikes, rep_pgas.fired_spikes);
   EXPECT_EQ(rep_mpi.recovery_ticks_lost, rep_pgas.recovery_ticks_lost);
   // Both planners moved the orphans to the same new homes.
@@ -502,7 +505,7 @@ TEST(RecoveryDeterminism, MigrateIsByteIdenticalAcrossThreadWidths) {
   EXPECT_EQ(rep1.recoveries, 1u);
   EXPECT_EQ(rep4.recoveries, 1u);
   EXPECT_EQ(model_bytes(t1.model), model_bytes(t4.model));
-  EXPECT_EQ(t1.spikes, t4.spikes);
+  EXPECT_EQ(t1.spikes(), t4.spikes());
   EXPECT_EQ(rep1.fired_spikes, rep4.fired_spikes);
   EXPECT_EQ(rep1.spikes_lost, rep4.spikes_lost);
   fs::remove_all(dir_1);

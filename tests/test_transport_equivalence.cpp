@@ -11,13 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <tuple>
 #include <vector>
 
 #include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
+#include "io/raster.h"
 #include "runtime/compass.h"
 
 namespace compass {
@@ -35,7 +35,7 @@ compiler::PccResult build_fixed_model() {
   return compiler::compile(cocomac::build_macaque_spec(mopt), popt);
 }
 
-using SpikeEvent = std::tuple<arch::Tick, arch::CoreId, unsigned>;
+using SpikeEvent = io::RasterEvent;
 
 struct RunResult {
   runtime::RunReport report;
@@ -52,10 +52,9 @@ RunResult run_with(comm::Transport& transport, arch::Model model,
                    const std::vector<arch::Model>* reference,
                    std::vector<arch::Model>* capture) {
   runtime::Compass sim(model, partition, transport);
+  io::RasterRecorder recorder(partition.ranks());
+  sim.attach(&recorder);
   RunResult out;
-  sim.set_spike_hook([&out](arch::Tick t, arch::CoreId c, unsigned j) {
-    out.spikes.emplace_back(t, c, j);
-  });
   for (arch::Tick t = 0; t < kTicks; ++t) {
     sim.step();
     out.per_tick_messages.push_back(transport.tick_stats().messages);
@@ -70,6 +69,7 @@ RunResult run_with(comm::Transport& transport, arch::Model model,
   // the returned report (stepping manually leaves report().virtual_time
   // unsynced).
   out.report = sim.run(0);
+  out.spikes = recorder.raster().events();
   return out;
 }
 
@@ -93,8 +93,8 @@ TEST(TransportEquivalence, MpiAndPgasAreFunctionallyIdentical) {
   EXPECT_EQ(mpi_run.report.remote_spikes, pgas_run.report.remote_spikes);
   EXPECT_EQ(mpi_run.report.synaptic_events, pgas_run.report.synaptic_events);
 
-  // Spike delivery is byte-identical: same events in the same order (ranks
-  // execute in a fixed order under a spike hook).
+  // Spike delivery is byte-identical: same events in the same order (the
+  // recorder appends each tick's spikes in rank order).
   ASSERT_EQ(mpi_run.spikes.size(), pgas_run.spikes.size());
   EXPECT_TRUE(mpi_run.spikes == pgas_run.spikes);
 

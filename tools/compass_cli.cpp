@@ -519,13 +519,10 @@ int cmd_run(const Args& args) {
     if (faulty) faulty->set_start_tick(cp.tick);
     std::cout << "restored " << ckpt_path << " at tick " << cp.tick << "\n";
   }
-  io::Raster raster;
-  if (!args.raster_file.empty() || args.stats) {
-    sim.set_spike_hook([&raster](arch::Tick t, arch::CoreId c, unsigned j) {
-      raster.record(t, c, j);
-    });
-  }
-  sim.enable_tick_series(args.series);
+  io::RasterRecorder recorder(pcc.partition.ranks());
+  if (!args.raster_file.empty() || args.stats) sim.attach(&recorder);
+  obs::TraceBuffer series;
+  if (args.series) sim.add_trace_sink(&series);
 
   std::optional<resilience::CheckpointManager> ckpt_mgr;
   if (args.checkpoint_every > 0) {
@@ -687,11 +684,11 @@ int cmd_run(const Args& args) {
   table.print(std::cout, "\nrun summary (" + args.transport + ")");
 
   if (args.series) {
-    const runtime::TickSeries& s = sim.tick_series();
     std::cout << "\ntick,spikes,messages,bytes\n";
-    for (std::size_t i = 0; i < s.spikes.size(); ++i) {
-      std::cout << i << ',' << s.spikes[i] << ',' << s.messages[i] << ','
-                << s.wire_bytes[i] << '\n';
+    for (std::size_t i = 0; i < series.ticks().size(); ++i) {
+      const obs::TickRecord& t = series.ticks()[i];
+      std::cout << i << ',' << t.fired << ',' << t.messages << ',' << t.bytes
+                << '\n';
     }
   }
 
@@ -705,6 +702,7 @@ int cmd_run(const Args& args) {
     et.print(std::cout, "\nTrueNorth power estimate (45 pJ/spike)");
   }
 
+  const io::Raster& raster = recorder.raster();
   if (args.stats) {
     const io::TrainStats st = io::analyze(raster, rep.ticks, inv.neurons);
     util::Table stt({"train statistic", "value"});
