@@ -8,6 +8,7 @@
 // Here the fixed model is scaled down and racks become rank counts; the
 // speed-up column is the shape to compare.
 #include <iostream>
+#include <string>
 
 #include "common.h"
 
@@ -52,6 +53,11 @@ int main(int argc, char** argv) {
       }
     }
 
+    // Appended, not "r" + std::to_string(...): GCC 12 reports a false
+    // -Wrestrict on that operator+ at -O3.
+    std::string crit = "r";
+    crit += std::to_string(crit_rank);
+
     const double total = rep.virtual_total_s();
     if (racks == 1) baseline = total;
     table.row()
@@ -66,7 +72,7 @@ int main(int argc, char** argv) {
         .add(prof.imbalance[1], 3)
         .add(prof.imbalance[2], 3)
         .add(prof.overlap_efficiency(), 3)
-        .add("r" + std::to_string(crit_rank));
+        .add(crit);
     std::cout << "  racks=" << racks << " done (host "
               << util::format_double(rep.host_wall_s, 2) << "s)\n";
   }

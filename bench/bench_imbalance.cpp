@@ -5,6 +5,7 @@
 // per-rank outgoing remote spikes (communication proxy) as the model scales,
 // reporting the max/mean ratio that inflates the per-tick makespan.
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "common.h"
@@ -62,6 +63,14 @@ int main(int argc, char** argv) {
       }
     }
 
+    // Appended, not "r" + std::to_string(...): GCC 12 reports a false
+    // -Wrestrict on that operator+ at -O3.
+    std::string crit = "r";
+    crit += std::to_string(crit_net_rank);
+    crit += " (";
+    crit += std::to_string(crit_net_ticks);
+    crit += ')';
+
     auto max_over_mean = [&](const std::vector<std::uint64_t>& v) {
       std::uint64_t max = 0, sum = 0;
       for (std::uint64_t x : v) {
@@ -93,8 +102,7 @@ int main(int argc, char** argv) {
         .add(max_over_mean(remote), 3)
         .add(prof.imbalance[1], 3)
         .add(prof.imbalance[2], 3)
-        .add("r" + std::to_string(crit_net_rank) + " (" +
-             std::to_string(crit_net_ticks) + ")")
+        .add(crit)
         .add(regions_on_busiest);
     std::cout << "  nodes=" << nodes << " done\n";
   }

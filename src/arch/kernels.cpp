@@ -1,5 +1,22 @@
 #include "arch/kernels.h"
 
+#include <algorithm>
+#include <cassert>
+
+#include "util/prng.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+// GCC 12's AVX-512 header starts many intrinsics from a self-initialised
+// "undefined" vector, which -Wuninitialized reports from inside the header
+// once the intrinsic is inlined (GCC bug 105593). The pragma covers the
+// header's lines only; this file's own code keeps the warning.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#include <immintrin.h>
+#pragma GCC diagnostic pop
+#endif
+
 namespace compass::arch::kernels {
 
 SynapseStats synapse_phase_bitparallel(
@@ -66,41 +83,244 @@ SynapseStats synapse_phase_bitparallel(
   return stats;
 }
 
-util::Bits256 neuron_phase_fast(
-    std::array<std::int32_t, kNeuronsPerCore>& potential,
-    std::array<std::int32_t, kNeuronsPerCore>& accum,
-    const std::array<std::int16_t, kNeuronsPerCore>& leak,
-    const std::array<std::int32_t, kNeuronsPerCore>& threshold,
-    const std::array<std::int32_t, kNeuronsPerCore>& reset,
-    const std::array<std::int32_t, kNeuronsPerCore>& floor,
-    const std::array<std::uint8_t, kNeuronsPerCore>& reset_mode) {
-  // Exactly neuron_step() with the stochastic terms compiled out: integrate,
-  // deterministic leak, compare against the unjittered threshold, apply the
-  // reset mode as a pair of selects, clamp. Everything is a conditional move
-  // on flat lanes, so the loop auto-vectorizes.
-  constexpr auto kAbs = static_cast<std::uint8_t>(ResetMode::kAbsolute);
-  constexpr auto kLin = static_cast<std::uint8_t>(ResetMode::kLinear);
+namespace {
+
+// Draw d of the core in batch lane i, as next_u64() >> 32 (the width both
+// neuron-phase draws read), lives at buf[d * kNeuronBatch + i].
+constexpr unsigned kMaxDraws = 2 * kNeuronsPerCore;
+using DrawBuffer = std::array<std::uint32_t, kMaxDraws * kNeuronBatch>;
+
+constexpr auto kAbsolute = static_cast<std::uint8_t>(ResetMode::kAbsolute);
+constexpr auto kLinear = static_cast<std::uint8_t>(ResetMode::kLinear);
+
+/// The batch's xorshift64* chains, interleaved two lanes at a time so that
+/// each step of one chain hides the latency of the other's.
+void draw_pass_portable(NeuronLanes* cores, unsigned n, std::uint32_t* buf) {
+  for (unsigned i = 0; i < n; i += 2) {
+    const unsigned k = i + 1 < n ? i + 1 : i;
+    util::CorePrng a, b;
+    a.set_state(cores[i].prng_state);
+    b.set_state(cores[k].prng_state);
+    const unsigned na = cores[i].draws, nb = k != i ? cores[k].draws : 0;
+    const unsigned both = na < nb ? na : nb;
+    unsigned d = 0;
+    for (; d < both; ++d) {
+      buf[d * kNeuronBatch + i] = a.next_u32();
+      buf[d * kNeuronBatch + k] = b.next_u32();
+    }
+    for (unsigned e = d; e < na; ++e) buf[e * kNeuronBatch + i] = a.next_u32();
+    for (unsigned e = d; e < nb; ++e) buf[e * kNeuronBatch + k] = b.next_u32();
+    cores[i].prng_state = a.state();
+    if (k != i) cores[k].prng_state = b.state();
+  }
+}
+
+/// neuron_step() on every neuron of one core, with each stochastic term
+/// reading its draw from the buffer instead of the PRNG, and every branch a
+/// select. The AVX-512 sweep below is this loop sixteen lanes at a time.
+util::Bits256 sweep_portable(const NeuronLanes& c, unsigned lane,
+                             const std::uint32_t* buf) {
   util::Bits256 fired;
+  unsigned slot = 0;
   for (unsigned word = 0; word < 4; ++word) {
     std::uint64_t bits = 0;
     for (unsigned b = 0; b < 64; ++b) {
       const unsigned j = word * 64 + b;
-      const std::int32_t th = threshold[j];
-      std::int32_t v = potential[j] + accum[j] - leak[j];
-      accum[j] = 0;
-      const bool f = v >= th;
-      const std::uint8_t mode = reset_mode[j];
+      // Lanes are loaded up front so that the selects below stay selects.
+      const std::int32_t leak = c.leak[j];
+      const std::int32_t reset = c.reset[j];
+      const std::int32_t floor = c.floor[j];
+      const bool leak_draw = (c.flags[j] & kStochasticLeak) != 0 && leak != 0;
+      const bool th_draw = (c.flags[j] & kStochasticThreshold) != 0;
+      const std::uint32_t dl = leak_draw ? buf[slot * kNeuronBatch + lane] : 0;
+      slot += leak_draw ? 1 : 0;
+      const std::uint32_t dt = th_draw ? buf[slot * kNeuronBatch + lane] : 0;
+      slot += th_draw ? 1 : 0;
+
+      const std::int32_t mag = leak < 0 ? -leak : leak;
+      const std::int32_t sign = leak > 0 ? 1 : -1;
+      const bool hit =
+          static_cast<std::int32_t>(dl >> 24) < (mag > 255 ? 255 : mag);
+      const std::int32_t dec = leak_draw ? (hit ? sign : 0) : leak;
+      std::int32_t v = c.potential[j] + c.accum[j] - dec;
+      c.accum[j] = 0;
+
+      const std::int32_t base = c.threshold[j];
+      const std::uint32_t mask = (1u << c.tmask_bits[j]) - 1u;
+      const bool f = v >= base + static_cast<std::int32_t>(dt & mask);
+      const std::uint8_t mode = c.reset_mode[j];
       const std::int32_t on_fire =
-          mode == kAbs ? reset[j] : (mode == kLin ? v - th : v);
+          mode == kAbsolute ? reset : (mode == kLinear ? v - base : v);
       v = f ? on_fire : v;
-      v = v < floor[j] ? floor[j] : v;
+      v = v < floor ? floor : v;
       v = v > kPotentialMax ? kPotentialMax : v;
-      potential[j] = v;
+      c.potential[j] = v;
       bits |= static_cast<std::uint64_t>(f) << b;
     }
     fired.w[word] = bits;
   }
   return fired;
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define COMPASS_NEURON_AVX512 1
+#define COMPASS_TARGET_AVX512 __attribute__((target("avx512f,avx512dq")))
+
+/// The eight xorshift64* chains of the batch, one per 64-bit lane. A lane
+/// stops advancing once its core has made its draws; later stores from it
+/// land in slots the sweep never reads.
+COMPASS_TARGET_AVX512 void draw_pass_avx512(NeuronLanes* cores, unsigned n,
+                                            std::uint32_t* buf) {
+  alignas(64) std::uint64_t state[kNeuronBatch] = {};
+  alignas(64) std::uint64_t count[kNeuronBatch] = {};
+  unsigned max_draws = 0;
+  for (unsigned i = 0; i < n; ++i) {
+    state[i] = cores[i].prng_state;
+    count[i] = cores[i].draws;
+    max_draws = std::max(max_draws, cores[i].draws);
+  }
+  __m512i s = _mm512_load_si512(state);
+  const __m512i remaining = _mm512_load_si512(count);
+  const __m512i mul = _mm512_set1_epi64(
+      static_cast<long long>(util::CorePrng::kMultiplier));
+  const __m512i one = _mm512_set1_epi64(1);
+  __m512i d = _mm512_setzero_si512();
+  for (unsigned k = 0; k < max_draws; ++k) {
+    __m512i x = s;
+    x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 12));
+    x = _mm512_xor_si512(x, _mm512_slli_epi64(x, 25));
+    x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 27));
+    s = _mm512_mask_mov_epi64(s, _mm512_cmplt_epu64_mask(d, remaining), x);
+    const __m512i out = _mm512_srli_epi64(_mm512_mullo_epi64(x, mul), 32);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(buf + k * kNeuronBatch),
+                       _mm512_cvtepi64_epi32(out));
+    d = _mm512_add_epi64(d, one);
+  }
+  _mm512_store_si512(state, s);
+  for (unsigned i = 0; i < n; ++i) cores[i].prng_state = state[i];
+}
+
+/// Lane i of the result = sum of v's lanes 0..i.
+COMPASS_TARGET_AVX512 inline __m512i inclusive_prefix_sum(__m512i v) {
+  const __m512i zero = _mm512_setzero_si512();
+  v = _mm512_add_epi32(v, _mm512_alignr_epi32(v, zero, 15));
+  v = _mm512_add_epi32(v, _mm512_alignr_epi32(v, zero, 14));
+  v = _mm512_add_epi32(v, _mm512_alignr_epi32(v, zero, 12));
+  return _mm512_add_epi32(v, _mm512_alignr_epi32(v, zero, 8));
+}
+
+COMPASS_TARGET_AVX512 util::Bits256 sweep_avx512(const NeuronLanes& c,
+                                                 unsigned lane,
+                                                 const std::uint32_t* buf) {
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i one = _mm512_set1_epi32(1);
+  const __m512i leak_bit = _mm512_set1_epi32(kStochasticLeak);
+  const __m512i th_bit = _mm512_set1_epi32(kStochasticThreshold);
+  const __m512i lane_v = _mm512_set1_epi32(static_cast<int>(lane));
+  util::Bits256 fired;
+  int slot = 0;
+  for (unsigned j = 0; j < kNeuronsPerCore; j += 16) {
+    const __m512i flags = _mm512_cvtepu8_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(c.flags + j)));
+    const __m512i leak = _mm512_cvtepi16_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c.leak + j)));
+    const __mmask16 leak_draw = _mm512_test_epi32_mask(flags, leak_bit) &
+                                _mm512_test_epi32_mask(leak, leak);
+    const __mmask16 th_draw = _mm512_test_epi32_mask(flags, th_bit);
+
+    // Draw slots: an exclusive prefix sum of the per-neuron draw counts,
+    // leak draw first, offset by the draws of the neurons before j.
+    const __m512i leak_n = _mm512_maskz_mov_epi32(leak_draw, one);
+    const __m512i n = _mm512_add_epi32(leak_n, _mm512_maskz_mov_epi32(th_draw, one));
+    const __m512i leak_slot = _mm512_add_epi32(
+        _mm512_set1_epi32(slot),
+        _mm512_sub_epi32(inclusive_prefix_sum(n), n));
+    const __m512i th_slot = _mm512_add_epi32(leak_slot, leak_n);
+    slot += __builtin_popcount(leak_draw) + __builtin_popcount(th_draw);
+    const __m512i dl = _mm512_mask_i32gather_epi32(
+        zero, leak_draw,
+        _mm512_add_epi32(_mm512_slli_epi32(leak_slot, 3), lane_v), buf, 4);
+    const __m512i dt = _mm512_mask_i32gather_epi32(
+        zero, th_draw,
+        _mm512_add_epi32(_mm512_slli_epi32(th_slot, 3), lane_v), buf, 4);
+
+    const __m512i mag = _mm512_min_epi32(_mm512_abs_epi32(leak),
+                                         _mm512_set1_epi32(255));
+    const __mmask16 hit = _mm512_mask_cmplt_epu32_mask(
+        leak_draw, _mm512_srli_epi32(dl, 24), mag);
+    const __m512i sign = _mm512_mask_blend_epi32(
+        _mm512_cmpgt_epi32_mask(leak, zero), _mm512_set1_epi32(-1), one);
+    const __m512i dec =
+        _mm512_mask_mov_epi32(leak, leak_draw, _mm512_maskz_mov_epi32(hit, sign));
+    std::int32_t* pot = c.potential + j;
+    std::int32_t* acc = c.accum + j;
+    __m512i v = _mm512_sub_epi32(
+        _mm512_add_epi32(_mm512_loadu_si512(pot), _mm512_loadu_si512(acc)), dec);
+    _mm512_storeu_si512(acc, zero);
+
+    const __m512i base = _mm512_loadu_si512(c.threshold + j);
+    const __m512i bits = _mm512_cvtepu8_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(c.tmask_bits + j)));
+    const __m512i mask = _mm512_sub_epi32(_mm512_sllv_epi32(one, bits), one);
+    const __mmask16 f = _mm512_cmpge_epi32_mask(
+        v, _mm512_add_epi32(base, _mm512_and_si512(dt, mask)));
+
+    const __m512i mode = _mm512_cvtepu8_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(c.reset_mode + j)));
+    __m512i on_fire = _mm512_mask_mov_epi32(
+        v, _mm512_cmpeq_epi32_mask(mode, _mm512_set1_epi32(kLinear)),
+        _mm512_sub_epi32(v, base));
+    on_fire = _mm512_mask_mov_epi32(
+        on_fire, _mm512_cmpeq_epi32_mask(mode, _mm512_set1_epi32(kAbsolute)),
+        _mm512_loadu_si512(c.reset + j));
+    v = _mm512_mask_mov_epi32(v, f, on_fire);
+    v = _mm512_max_epi32(v, _mm512_loadu_si512(c.floor + j));
+    v = _mm512_min_epi32(v, _mm512_set1_epi32(kPotentialMax));
+    _mm512_storeu_si512(pot, v);
+    fired.w[j >> 6] |= static_cast<std::uint64_t>(f) << (j & 63);
+  }
+  return fired;
+}
+#endif
+
+}  // namespace
+
+bool avx512_available() noexcept {
+#ifdef COMPASS_NEURON_AVX512
+  static const bool has = __builtin_cpu_supports("avx512f") &&
+                          __builtin_cpu_supports("avx512dq");
+  return has;
+#else
+  return false;
+#endif
+}
+
+void neuron_phase_batch(NeuronLanes* cores, unsigned n, util::Bits256* fired) {
+  assert(n <= kNeuronBatch);
+  for (unsigned i = 0; i < n; ++i) {
+    note_dispatch(cores[i].draws != 0 ? DispatchPath::kNeuronStochSoa
+                                      : DispatchPath::kNeuronFast);
+  }
+  alignas(64) DrawBuffer buf;  // only slots below a lane's count are read
+#ifdef COMPASS_NEURON_AVX512
+  if (engine() != Engine::kPortable && avx512_available()) {
+    // The lanes pay off from three cores up; below that the scalar chains
+    // make the same draws sooner.
+    if (n >= 3) {
+      draw_pass_avx512(cores, n, buf.data());
+    } else {
+      draw_pass_portable(cores, n, buf.data());
+    }
+    for (unsigned i = 0; i < n; ++i) {
+      fired[i] = sweep_avx512(cores[i], i, buf.data());
+    }
+    return;
+  }
+#endif
+  draw_pass_portable(cores, n, buf.data());
+  for (unsigned i = 0; i < n; ++i) {
+    fired[i] = sweep_portable(cores[i], i, buf.data());
+  }
 }
 
 }  // namespace compass::arch::kernels

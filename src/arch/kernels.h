@@ -6,16 +6,21 @@
 // crossbar, the contribution of all active axons of one type to one neuron
 // is popcount(dendrite_column AND active_axons_of_type) — four 64-bit ANDs
 // plus four popcounts per (neuron, type) — multiplied by that (type,
-// neuron) weight lane. The integrate-leak-fire sweep is likewise a
-// branch-light pass over flat SoA lanes that the compiler can vectorize
-// (the CoreNEURON playbook: AoS→SoA plus vector-friendly kernels).
+// neuron) weight lane.
+//
+// The neuron phase runs up to eight cores at a time. Each core's PRNG
+// draws in this phase depend only on its neuron flags and leaks, never on
+// the membrane potentials, so the eight xorshift64* chains advance together
+// (one 64-bit lane per core) into a draw buffer first, and a branch-free
+// sweep then reads each neuron's draws from its slot (the CoreNEURON
+// playbook: AoS→SoA plus vector kernels, with the scalar reference kept).
 //
 // Determinism contract: both kernels are *bit-identical* to the scalar
-// reference walk whenever no neuron on the core draws from the PRNG in the
-// corresponding phase — synaptic accumulation is a commutative integer sum
-// and the fast neuron step reproduces neuron_step()'s arithmetic exactly.
-// Cores with stochastic neurons keep the exact PRNG-draw-order scalar path
-// (NeurosynapticCore dispatches; see DESIGN.md §12).
+// reference walks. Synaptic accumulation is a commutative integer sum (the
+// synapse kernel runs only on cores without stochastic-synapse neurons,
+// whose draws follow the row walk), and the neuron kernel makes every
+// core's draws from that core's own stream, in the reference order
+// (ascending neuron; leak before threshold). See DESIGN.md §12.
 #pragma once
 
 #include <array>
@@ -32,12 +37,18 @@ namespace compass::arch::kernels {
 // --- Engine selection (test/bench hook) ------------------------------------
 
 /// Which implementation the core's tick phases use. kBitParallel is the
-/// production default; kReference forces the original scalar walk
-/// everywhere. The toggle exists for differential tests and for recording
-/// before/after numbers from one binary (tools/bench_record) — it changes
-/// nothing observable: on eligible cores both engines are bit-identical,
-/// and stochastic cores always take the reference path.
-enum class Engine : std::uint8_t { kBitParallel = 0, kReference = 1 };
+/// production default (the neuron kernel picks AVX-512 when the CPU has
+/// it); kReference forces the original scalar walk everywhere; kPortable is
+/// kBitParallel with the neuron kernel held to its portable path, so tests
+/// cover both paths on an AVX-512 host. The toggle exists for differential
+/// tests and for recording before/after numbers from one binary
+/// (tools/bench_record) — it changes nothing observable: all engines are
+/// bit-identical.
+enum class Engine : std::uint8_t {
+  kBitParallel = 0,
+  kReference = 1,
+  kPortable = 2,
+};
 
 namespace detail {
 inline std::atomic<Engine> g_engine{Engine::kBitParallel};
@@ -66,7 +77,11 @@ enum class DispatchPath : std::uint8_t {
 };
 
 /// Snapshot of per-path execution counts since process start (monotone;
-/// consumers diff snapshots).
+/// consumers diff snapshots). The field order is part of the interface:
+/// consumers aggregate-initialise it positionally. Every core-tick of the
+/// batched neuron kernel counts once, under neuron_stoch_soa when the core
+/// makes PRNG draws in the phase and under neuron_fast when it makes none;
+/// neuron_scalar counts the reference engine's core-ticks.
 struct DispatchCounters {
   std::uint64_t synapse_bitparallel = 0;
   std::uint64_t synapse_scalar = 0;
@@ -148,20 +163,45 @@ SynapseStats synapse_phase_bitparallel(
 
 // --- Neuron phase -----------------------------------------------------------
 
-/// Branch-light integrate-leak-fire sweep over the SoA lanes. Valid only
-/// when no neuron on the core has kStochasticLeak or kStochasticThreshold
-/// set (no PRNG draws in this phase; kStochasticSynapse is resolved during
-/// the synapse phase and does not affect this sweep). Consumes and zeroes
-/// `accum`, updates `potential` in place, and returns the fired set as a
-/// bitmask (callers emit in ascending neuron order, preserving the
-/// deterministic contract).
-util::Bits256 neuron_phase_fast(
-    std::array<std::int32_t, kNeuronsPerCore>& potential,
-    std::array<std::int32_t, kNeuronsPerCore>& accum,
-    const std::array<std::int16_t, kNeuronsPerCore>& leak,
-    const std::array<std::int32_t, kNeuronsPerCore>& threshold,
-    const std::array<std::int32_t, kNeuronsPerCore>& reset,
-    const std::array<std::int32_t, kNeuronsPerCore>& floor,
-    const std::array<std::uint8_t, kNeuronsPerCore>& reset_mode);
+/// Cores per neuron_phase_batch call: one 64-bit PRNG lane each in a 512-bit
+/// register.
+inline constexpr unsigned kNeuronBatch = 8;
+
+/// PRNG draws one neuron makes in the neuron phase: one for a stochastic
+/// leak with a non-zero leak, one for a stochastic threshold. It depends on
+/// the configuration only, never on the membrane potential.
+inline unsigned neuron_draws(std::uint8_t flags, std::int16_t leak) noexcept {
+  return ((flags & kStochasticLeak) != 0 && leak != 0 ? 1u : 0u) +
+         ((flags & kStochasticThreshold) != 0 ? 1u : 0u);
+}
+
+/// One core's neuron-phase state as the batched kernel reads and writes it:
+/// its SoA lanes (kNeuronsPerCore entries each), its PRNG state (advanced
+/// in place) and the sum of neuron_draws() over its neurons.
+struct NeuronLanes {
+  std::int32_t* potential;
+  std::int32_t* accum;
+  const std::int16_t* leak;
+  const std::int32_t* threshold;
+  const std::int32_t* reset;
+  const std::int32_t* floor;
+  const std::uint8_t* reset_mode;
+  const std::uint8_t* flags;
+  const std::uint8_t* tmask_bits;
+  std::uint64_t prng_state;
+  unsigned draws;
+};
+
+/// Integrate-leak-fire for `n` <= kNeuronBatch cores: exactly
+/// neuron_step() on every neuron of each core, in ascending order, drawing
+/// from that core's xorshift64* stream. Consumes and zeroes `accum`,
+/// updates `potential` and `prng_state` in place, and stores core i's fired
+/// set in fired[i] (callers emit it in ascending neuron order). Runs the
+/// AVX-512 path when the CPU has AVX-512F/DQ and the engine is not
+/// kPortable; the portable path gives the same bits.
+void neuron_phase_batch(NeuronLanes* cores, unsigned n, util::Bits256* fired);
+
+/// True when this CPU runs neuron_phase_batch's AVX-512 path.
+bool avx512_available() noexcept;
 
 }  // namespace compass::arch::kernels

@@ -1,5 +1,6 @@
 #include "compiler/coreobject.h"
 
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -61,21 +62,24 @@ std::string Spec::validate() const {
   for (const RegionDecl& r : regions) {
     if (r.name.empty()) return "region with empty name";
     if (!names.insert(r.name).second) return "duplicate region: " + r.name;
-    if (r.self_fraction < 0.0 || r.self_fraction > 1.0) {
+    // Written as "not inside" so that NaN, which fails every comparison,
+    // is rejected too.
+    if (!(r.self_fraction >= 0.0 && r.self_fraction <= 1.0)) {
       return "region " + r.name + ": self fraction outside [0,1]";
     }
-    if (r.volume && *r.volume <= 0.0) {
-      return "region " + r.name + ": non-positive volume";
+    if (r.volume && !(std::isfinite(*r.volume) && *r.volume > 0.0)) {
+      return "region " + r.name + ": volume not a positive finite number";
     }
-    if (r.rate_hz < 0.0 || r.rate_hz > 1000.0) {
+    if (!(r.rate_hz >= 0.0 && r.rate_hz <= 1000.0)) {
       return "region " + r.name + ": rate outside [0,1000] Hz";
     }
   }
   for (const EdgeDecl& e : edges) {
     if (!names.contains(e.src)) return "edge references unknown region: " + e.src;
     if (!names.contains(e.dst)) return "edge references unknown region: " + e.dst;
-    if (e.weight <= 0.0) {
-      return "edge " + e.src + " -> " + e.dst + ": non-positive weight";
+    if (!(std::isfinite(e.weight) && e.weight > 0.0)) {
+      return "edge " + e.src + " -> " + e.dst +
+             ": weight not a positive finite number";
     }
   }
   return {};

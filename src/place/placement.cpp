@@ -7,6 +7,7 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <string>
 
 namespace compass::place {
 
@@ -184,14 +185,21 @@ Placement load_placement(std::istream& is) {
     throw PlacementError("placement file: ranks_per_node must be >= 1");
   }
   expect_keyword(is, "torus");
+  // Node ids are ints (comm::TorusTopology counts nodes in an int), so the
+  // product is bounded before each multiply, never after it overflowed.
   long long torus_nodes = 1;
   for (int d = 0; d < 5; ++d) {
-    out.torus_dims[static_cast<std::size_t>(d)] =
-        read_value<int>(is, "torus dimension");
-    if (out.torus_dims[static_cast<std::size_t>(d)] < 1) {
+    const int dim = read_value<int>(is, "torus dimension");
+    if (dim < 1) {
       throw PlacementError("placement file: torus dimension must be >= 1");
     }
-    torus_nodes *= out.torus_dims[static_cast<std::size_t>(d)];
+    if (torus_nodes > std::numeric_limits<int>::max() / dim) {
+      throw PlacementError("placement file: torus has more than " +
+                           std::to_string(std::numeric_limits<int>::max()) +
+                           " nodes");
+    }
+    out.torus_dims[static_cast<std::size_t>(d)] = dim;
+    torus_nodes *= dim;
   }
   expect_keyword(is, "objective");
   out.predicted_objective = read_value<double>(is, "objective");

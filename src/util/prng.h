@@ -48,6 +48,9 @@ std::uint64_t derive_seed(std::uint64_t global_seed, std::uint64_t stream) noexc
 /// uniform for stochastic thresholds.
 class CorePrng {
  public:
+  /// The xorshift64* output multiplier.
+  static constexpr std::uint64_t kMultiplier = 0x2545F4914F6CDD1DULL;
+
   CorePrng() noexcept : state_(0x853C49E6748FEA9BULL) {}
   explicit CorePrng(std::uint64_t seed) noexcept { reseed(seed); }
 
@@ -65,7 +68,7 @@ class CorePrng {
     x ^= x << 25;
     x ^= x >> 27;
     state_ = x;
-    return x * 0x2545F4914F6CDD1DULL;
+    return x * kMultiplier;
   }
 
   std::uint32_t next_u32() noexcept {

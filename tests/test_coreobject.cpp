@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
+#include "compiler/pcc.h"
+
 namespace compass::compiler {
 namespace {
 
@@ -120,6 +126,37 @@ TEST(CoreObjectValidate, NonPositiveEdgeWeightRejected) {
   Spec spec = parse_coreobject_string(kSample);
   spec.edges[0].weight = 0.0;
   EXPECT_NE(spec.validate().find("weight"), std::string::npos);
+}
+
+TEST(CoreObjectValidate, NonFiniteVolumeRejected) {
+  // std::stod accepts "nan" and "inf", so the parser hands them on; PCC's
+  // volume split would cast them to integers (undefined behaviour) or never
+  // finish, so validation must stop them.
+  for (const std::string v : {"nan", "inf", "-inf", "-nan"}) {
+    const Spec spec = parse_coreobject_string(
+        "cores 8\nregion A class generic volume " + v +
+        " self 0.2 rate 5\nregion B class generic volume 1 self 0.2 rate 5\n"
+        "edge A B\n");
+    ASSERT_TRUE(spec.regions[0].volume.has_value()) << v;
+    EXPECT_NE(spec.validate().find("volume"), std::string::npos) << v;
+    EXPECT_THROW(compile(spec, PccOptions{}), std::invalid_argument) << v;
+  }
+}
+
+TEST(CoreObjectValidate, NonFiniteRateFractionAndWeightRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf}) {
+    Spec spec = parse_coreobject_string(kSample);
+    spec.regions[1].rate_hz = bad;
+    EXPECT_NE(spec.validate().find("rate"), std::string::npos);
+    spec = parse_coreobject_string(kSample);
+    spec.regions[1].self_fraction = bad;
+    EXPECT_NE(spec.validate().find("self fraction"), std::string::npos);
+    spec = parse_coreobject_string(kSample);
+    spec.edges[1].weight = bad;
+    EXPECT_NE(spec.validate().find("weight"), std::string::npos);
+  }
 }
 
 TEST(CoreObject, RegionIndexLookup) {

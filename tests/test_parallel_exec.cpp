@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/kernels.h"
 #include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
@@ -87,6 +88,54 @@ TEST(ParallelExecution, RecorderRasterEqualsSerialOnBothTransports) {
   ASSERT_GT(serial.size(), 16u) << "the run must fire";
   EXPECT_EQ(raster_bytes(/*pgas=*/false, /*parallel=*/true), serial) << "mpi";
   EXPECT_EQ(raster_bytes(/*pgas=*/true, /*parallel=*/true), serial) << "pgas";
+}
+
+// The neuron kernel takes each (rank, thread) slice of cores eight at a
+// time, so a slice that is not a multiple of eight ends in a short batch.
+// At every width, on both kernel paths, the raster must be the scalar
+// reference engine's, byte for byte.
+TEST(ParallelExecution, RasterUnchangedWhenSlicesAreNotMultiplesOfTheBatch) {
+  const compiler::PccResult pcc = build(100, 3);
+  auto raster_bytes = [&](int threads, arch::kernels::Engine engine) {
+    Partition partition = pcc.partition;
+    partition.rethread(threads);
+    arch::Model model = pcc.model;
+    comm::MpiTransport transport(3, comm::CommCostModel{});
+    Config cfg;
+    cfg.measure = false;
+    cfg.parallel_execution = true;
+    const arch::kernels::Engine saved = arch::kernels::engine();
+    arch::kernels::set_engine(engine);
+    Compass sim(model, partition, transport, cfg);
+    io::RasterRecorder recorder(partition.ranks());
+    sim.attach(&recorder);
+    sim.run(40);
+    arch::kernels::set_engine(saved);
+    std::ostringstream os;
+    recorder.raster().write_binary(os);
+    return os.str();
+  };
+  const std::string reference =
+      raster_bytes(1, arch::kernels::Engine::kReference);
+  ASSERT_GT(reference.size(), 16u) << "the run must fire";
+  for (const int threads : {1, 3, 5}) {
+    Partition partition = pcc.partition;
+    partition.rethread(threads);
+    bool short_batch = false;
+    for (int r = 0; r < partition.ranks(); ++r) {
+      for (int t = 0; t < threads; ++t) {
+        short_batch |= partition.cores_of(r, t).size() %
+                           arch::kernels::kNeuronBatch != 0;
+      }
+    }
+    EXPECT_TRUE(short_batch) << "threads=" << threads;
+    EXPECT_EQ(raster_bytes(threads, arch::kernels::Engine::kBitParallel),
+              reference)
+        << "threads=" << threads;
+    EXPECT_EQ(raster_bytes(threads, arch::kernels::Engine::kPortable),
+              reference)
+        << "threads=" << threads << " (portable)";
+  }
 }
 
 TEST(ParallelExecution, CountersSurviveManySmallTicks) {

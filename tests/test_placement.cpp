@@ -449,6 +449,19 @@ TEST(PlacementFile, MalformedInputsThrowTyped) {
       load_str("compass-placement v1\npolicy x\ncores 2\nranks 2\n"
                "threads 1\nranks_per_node 1\ntorus 0 1 1 1 1\n"),
       PlacementError);
+  // A torus whose node count overflows: bounded before each multiply.
+  EXPECT_THROW(
+      load_str("compass-placement v1\npolicy x\ncores 2\nranks 2\n"
+               "threads 1\nranks_per_node 1\n"
+               "torus 99999 99999 99999 99999 99999\nobjective 0\n"
+               "nodes 0 1\nassign 0 1\n"),
+      PlacementError);
+  EXPECT_THROW(
+      load_str("compass-placement v1\npolicy x\ncores 2\nranks 2\n"
+               "threads 1\nranks_per_node 1\n"
+               "torus 65536 32768 1 1 1\nobjective 0\n"
+               "nodes 0 1\nassign 0 1\n"),
+      PlacementError);
   // Node id outside the declared torus.
   EXPECT_THROW(
       load_str("compass-placement v1\npolicy x\ncores 2\nranks 2\nthreads 1\n"

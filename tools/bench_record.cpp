@@ -610,21 +610,21 @@ int main(int argc, char** argv) {
   if (headline) {
     const std::string headline_tmp = out + ".headline.tmp";
     std::remove(headline_tmp.c_str());
-    for (const char* engine : {"kernels", "reference"}) {
+    for (const char* run_engine : {"kernels", "reference"}) {
       const std::string cmd = bench_dir + "/bench_headline --engine " +
-                              engine + " --json " + headline_tmp +
+                              run_engine + " --json " + headline_tmp +
                               " > /dev/null";
       if (run_command(cmd) != 0) return 1;
     }
     std::istringstream lines(read_file(headline_tmp));
     std::string line;
     while (std::getline(lines, line)) {
-      const auto engine = raw_field(line, "engine");
-      const auto wall = number_field(line, "host_wall_s");
+      const auto run_engine = raw_field(line, "engine");
+      const auto run_wall = number_field(line, "host_wall_s");
       const auto cores = number_field(line, "cores");
-      if (!engine || !wall) continue;
-      if (*engine == "kernels") headline_kernels = *wall;
-      if (*engine == "reference") headline_reference = *wall;
+      if (!run_engine || !run_wall) continue;
+      if (*run_engine == "kernels") headline_kernels = *run_wall;
+      if (*run_engine == "reference") headline_reference = *run_wall;
       if (cores) headline_cores = static_cast<std::uint64_t>(*cores);
     }
     std::remove(headline_tmp.c_str());
