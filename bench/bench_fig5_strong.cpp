@@ -34,24 +34,16 @@ int main(int argc, char** argv) {
     // PCC places regions for the target rank count; the model itself (white
     // matter) is identical across rows, gray matter is rank-chunked.
     compiler::PccResult pcc = compile_macaque(cores, racks, threads);
+    obs::ProfileSummary prof;
     const runtime::RunReport rep =
         run_model(pcc.model, pcc.partition, TransportKind::kMpi, ticks,
-                  /*config=*/{}, /*profile=*/true);
+                  /*config=*/{}, &prof);
 
     // Per-phase imbalance and critical-rank attribution from the profiler:
     // the rank whose network leg most often set the tick makespan is the
     // straggler the paper's Fig. 5 discussion blames for sub-linear scaling.
-    const obs::ProfileSummary& prof = *rep.profile;
-    int crit_rank = 0;
-    std::uint64_t crit_ticks = 0;
-    for (int r = 0; r < prof.ranks(); ++r) {
-      const std::uint64_t n =
-          prof.critical[static_cast<std::size_t>(r)].network;
-      if (n > crit_ticks) {
-        crit_ticks = n;
-        crit_rank = r;
-      }
-    }
+    const int crit_rank =
+        prof.most_critical(&obs::RankCriticalCounts::network).first;
 
     // Appended, not "r" + std::to_string(...): GCC 12 reports a false
     // -Wrestrict on that operator+ at -O3.

@@ -39,29 +39,21 @@ int main(int argc, char** argv) {
                               /*want_profile=*/true);
     io::RasterRecorder recorder(nodes);
     sim.attach(&recorder);
-    const runtime::RunReport rep = sim.run(ticks);
-    planes.finish(rep);
-    const obs::ProfileSummary& prof = *rep.profile;
+    sim.run(ticks);
+    planes.finish();
+    const obs::ProfileSummary prof = planes.profiler()->summary();
     std::vector<std::uint64_t> fired(static_cast<std::size_t>(nodes), 0);
     for (const io::RasterEvent& e : recorder.raster().events()) {
       ++fired[static_cast<std::size_t>(pcc.partition.rank_of(e.core))];
     }
-    const obs::CommMatrix& traffic = planes.profile()->comm_matrix();
+    const obs::CommMatrix& traffic = planes.profiler()->comm_matrix();
     std::vector<std::uint64_t> remote(static_cast<std::size_t>(nodes), 0);
     for (int r = 0; r < nodes; ++r) {
       remote[static_cast<std::size_t>(r)] =
           traffic.row_total(r).spikes - traffic.at(r, r).spikes;
     }
-    int crit_net_rank = 0;
-    std::uint64_t crit_net_ticks = 0;
-    for (int r = 0; r < prof.ranks(); ++r) {
-      const std::uint64_t n =
-          prof.critical[static_cast<std::size_t>(r)].network;
-      if (n > crit_net_ticks) {
-        crit_net_ticks = n;
-        crit_net_rank = r;
-      }
-    }
+    const auto [crit_net_rank, crit_net_ticks] =
+        prof.most_critical(&obs::RankCriticalCounts::network);
 
     // Appended, not "r" + std::to_string(...): GCC 12 reports a false
     // -Wrestrict on that operator+ at -O3.

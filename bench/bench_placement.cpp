@@ -64,10 +64,10 @@ int main(int argc, char** argv) {
     runtime::RunPlanes planes(outputs(), sim, transport, transport,
                               /*want_profile=*/true);
     const runtime::RunReport rep = sim.run(ticks);
-    planes.finish(rep);
+    planes.finish();
 
     const place::PlacementScore measured = place::evaluate_comm_matrix(
-        planes.profile()->comm_matrix(), placement.node_of_rank, &topo);
+        planes.profiler()->comm_matrix(), placement.node_of_rank, &topo);
     if (policy == "uniform") baseline_measured = measured.objective;
     const double gain =
         baseline_measured > 0.0

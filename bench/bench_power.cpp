@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       runtime::Compass sim(model, pcc.partition, *transport);
       runtime::RunPlanes planes(outputs(), sim, *transport, *transport);
       const runtime::RunReport rep = sim.run(ticks);
-      planes.finish(rep);
+      planes.finish();
 
       const perf::EnergyEstimate e = perf::estimate_energy(
           cores, rep.ticks, rep.fired_spikes, rep.synaptic_events);

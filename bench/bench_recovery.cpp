@@ -133,11 +133,11 @@ int main(int argc, char** argv) {
     ropt.policy = policy;
     resilience::RecoverySupervisor supervisor(ropt, sim, model, faulty,
                                               manager);
-    supervisor.set_profile(planes.profile());
+    supervisor.set_wall_profiler(planes.profiler());
     supervisor.arm();
 
     const runtime::RunReport rep = sim.run(total_ticks);
-    planes.finish(rep);
+    planes.finish();
 
     Scenario s;
     s.name = resilience::to_string(policy);
@@ -170,7 +170,8 @@ int main(int argc, char** argv) {
     // The job aborts at the first boundary past the kill.
     const arch::Tick death = static_cast<arch::Tick>(kill_tick) + 1;
     runtime::RunPlanes planes(outputs(), sim, faulty, inner);
-    planes.finish(sim.run(death));
+    sim.run(death);
+    planes.finish();
 
     const std::string snapshot = resilience::CheckpointManager::
         latest_at_or_before(copt.dir, kill_tick);
@@ -187,8 +188,8 @@ int main(int argc, char** argv) {
       runtime::Compass resumed(restored, pcc.partition, inner2, cfg);
       resilience::restore(cp, resumed, restored);
       runtime::RunPlanes resumed_planes(outputs(), resumed, inner2, inner2);
-      resumed_planes.finish(
-          resumed.run(static_cast<std::uint64_t>(death) - cp.tick));
+      resumed.run(static_cast<std::uint64_t>(death) - cp.tick);
+      resumed_planes.finish();
       s.recovery_wall_s = sw.elapsed_s();
       s.ticks_lost = static_cast<std::uint64_t>(death) - cp.tick;
       s.cores_rolled = pcc.model.num_cores();

@@ -52,8 +52,9 @@ int main(int argc, char** argv) {
   runtime::Compass sim(pcc.model, pcc.partition, *transport);
   runtime::RunPlanes planes(outputs(), sim, *transport, *transport,
                             /*want_profile=*/true);
-  planes.finish(sim.run(ticks));
-  const obs::CommMatrix& traffic = planes.profile()->comm_matrix();
+  sim.run(ticks);
+  planes.finish();
+  const obs::CommMatrix& traffic = planes.profiler()->comm_matrix();
 
   // Hop-weighted cost of a rank->torus-node mapping.
   auto hop_cost = [&](const std::vector<int>& node_of_rank) {

@@ -134,13 +134,16 @@ std::unique_ptr<comm::Transport> make_transport(TransportKind kind, int ranks) {
 runtime::RunReport run_model(const arch::Model& model,
                              const runtime::Partition& partition,
                              TransportKind kind, arch::Tick ticks,
-                             runtime::Config config, bool profile) {
+                             runtime::Config config,
+                             obs::ProfileSummary* profile) {
   arch::Model copy = model;
   auto transport = make_transport(kind, partition.ranks());
   runtime::Compass sim(copy, partition, *transport, config);
-  runtime::RunPlanes planes(outputs(), sim, *transport, *transport, profile);
+  runtime::RunPlanes planes(outputs(), sim, *transport, *transport,
+                            profile != nullptr);
   runtime::RunReport rep = sim.run(ticks);
-  planes.finish(rep);
+  planes.finish();
+  if (profile != nullptr) *profile = planes.profiler()->summary();
   return rep;
 }
 

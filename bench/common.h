@@ -61,14 +61,13 @@ std::unique_ptr<comm::Transport> make_transport(TransportKind kind, int ranks);
 
 /// Run `ticks` ticks of `model` (copied) under the given machine shape and
 /// transport, with the planes the output flags ask for; returns the report.
-/// With `profile` true (or whenever --profile-out is set) a ProfileCollector
-/// is attached, so the returned report carries RunReport::profile — the
-/// imbalance / critical-rank / overlap summary the scaling benches tabulate.
+/// A non-null `profile` receives the profiler's summary — the imbalance /
+/// critical-rank / overlap figures the scaling benches tabulate.
 runtime::RunReport run_model(const arch::Model& model,
                              const runtime::Partition& partition,
                              TransportKind kind, arch::Tick ticks,
                              runtime::Config config = {},
-                             bool profile = false);
+                             obs::ProfileSummary* profile = nullptr);
 
 /// Synthetic real-time workload of section VII-B: every core's neurons are
 /// Poisson sources at `rate_hz`; 75% of neurons target a core on the same

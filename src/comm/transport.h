@@ -152,13 +152,13 @@ class Transport {
     flight_ = flight;
   }
 
-  /// Attach the host wall-clock profiler (src/obs/wallprof.h): exchange()
+  /// Attach the profiler plane (src/obs/wallprof.h): exchange()
   /// then brackets its completion step with monotonic-clock reads and
   /// records the host time as the global kExchange phase. The transport
   /// owns this recording (not the runtime) so decorated transports are
   /// timed where the work happens. Detached costs one pointer test per
   /// exchange. Virtual for decorator forwarding.
-  virtual void set_wall_profiler(obs::WallProfiler* wall) {
+  virtual void set_wall_profiler(obs::Profiler* wall) {
     wall_prof_ = wall;
   }
 
@@ -256,7 +256,7 @@ class Transport {
   std::vector<RankCommStats> rank_stats_;
   std::vector<double> send_s_, sync_s_, recv_s_;
   obs::FlightRecorder* flight_ = nullptr;
-  obs::WallProfiler* wall_prof_ = nullptr;
+  obs::Profiler* wall_prof_ = nullptr;
 
  private:
   const TorusTopology* topology_ = nullptr;

@@ -1,5 +1,6 @@
 #include "compiler/coreobject.h"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <istream>
@@ -7,7 +8,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
+
+#include "arch/types.h"
+#include "util/parse.h"
 
 namespace compass::compiler {
 
@@ -52,16 +56,52 @@ int Spec::region_index(const std::string& region_name) const {
   return -1;
 }
 
+namespace {
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+}  // namespace
+
+std::vector<double> Spec::volumes() const {
+  std::vector<double> by_class[4];
+  std::vector<double> known;
+  for (const RegionDecl& r : regions) {
+    if (r.volume) {
+      by_class[static_cast<int>(r.cls)].push_back(*r.volume);
+      known.push_back(*r.volume);
+    }
+  }
+  const double global = known.empty() ? 1.0 : median(known);
+  std::vector<double> out;
+  out.reserve(regions.size());
+  for (const RegionDecl& r : regions) {
+    const std::vector<double>& cls = by_class[static_cast<int>(r.cls)];
+    out.push_back(r.volume ? *r.volume : cls.empty() ? global : median(cls));
+  }
+  return out;
+}
+
 std::string Spec::validate() const {
   if (regions.empty()) return "spec has no regions";
   if (total_cores < regions.size()) {
     return "total cores (" + std::to_string(total_cores) +
            ") below region count (" + std::to_string(regions.size()) + ")";
   }
-  std::unordered_set<std::string> names;
+  // Core ids are 32-bit, with the top value reserved for "no target".
+  if (total_cores >= arch::kInvalidCore) {
+    return "total cores (" + std::to_string(total_cores) + ") above " +
+           std::to_string(arch::kInvalidCore - 1);
+  }
+  std::unordered_map<std::string, std::size_t> index;
   for (const RegionDecl& r : regions) {
     if (r.name.empty()) return "region with empty name";
-    if (!names.insert(r.name).second) return "duplicate region: " + r.name;
+    if (!index.emplace(r.name, index.size()).second) {
+      return "duplicate region: " + r.name;
+    }
     // Written as "not inside" so that NaN, which fails every comparison,
     // is rejected too.
     if (!(r.self_fraction >= 0.0 && r.self_fraction <= 1.0)) {
@@ -74,12 +114,30 @@ std::string Spec::validate() const {
       return "region " + r.name + ": rate outside [0,1000] Hz";
     }
   }
+  // PCC's white-matter demand is edge weight x target volume, divided by
+  // the source's sum of those products and scaled by up to its neuron
+  // count, so that sum times the neuron count must stay finite.
+  const std::vector<double> volume = volumes();
+  std::vector<double> out_volume(regions.size(), 0.0);
   for (const EdgeDecl& e : edges) {
-    if (!names.contains(e.src)) return "edge references unknown region: " + e.src;
-    if (!names.contains(e.dst)) return "edge references unknown region: " + e.dst;
+    const auto src = index.find(e.src);
+    const auto dst = index.find(e.dst);
+    if (src == index.end()) return "edge references unknown region: " + e.src;
+    if (dst == index.end()) return "edge references unknown region: " + e.dst;
     if (!(std::isfinite(e.weight) && e.weight > 0.0)) {
       return "edge " + e.src + " -> " + e.dst +
              ": weight not a positive finite number";
+    }
+    if (src->second != dst->second) {
+      out_volume[src->second] += e.weight * volume[dst->second];
+    }
+  }
+  const double neurons =
+      static_cast<double>(total_cores) * arch::kNeuronsPerCore;
+  for (std::size_t i = 0; i < regions.size(); ++i) {
+    if (!std::isfinite(out_volume[i] * neurons)) {
+      return "region " + regions[i].name +
+             ": weighted out-volume sum overflows";
     }
   }
   return {};
@@ -90,6 +148,31 @@ namespace {
 [[noreturn]] void fail(int line, const std::string& what) {
   throw std::runtime_error("CoreObject parse error at line " +
                            std::to_string(line) + ": " + what);
+}
+
+// Numeric fields take a whole token or fail: stream extraction would read
+// `42abc` as 42, `1e3` as 1 and `-1` as 2^64-1.
+std::string next_token(std::istream& ls, int line, const std::string& what) {
+  std::string token;
+  if (!(ls >> token)) fail(line, what + " missing value");
+  return token;
+}
+
+std::uint64_t read_u64(std::istream& ls, int line, const std::string& what) {
+  const std::string token = next_token(ls, line, what);
+  const std::optional<std::uint64_t> v = util::parse_u64(token);
+  if (!v) fail(line, what + " not a non-negative integer: '" + token + "'");
+  return *v;
+}
+
+double real_of(const std::string& token, int line, const std::string& what) {
+  const std::optional<double> v = util::parse_finite_double(token);
+  if (!v) fail(line, what + " not a finite number: '" + token + "'");
+  return *v;
+}
+
+double read_real(std::istream& ls, int line, const std::string& what) {
+  return real_of(next_token(ls, line, what), line, what);
 }
 
 }  // namespace
@@ -111,9 +194,9 @@ Spec parse_coreobject(std::istream& is) {
     if (keyword == "network") {
       if (!(ls >> spec.name)) fail(line_no, "network: missing name");
     } else if (keyword == "seed") {
-      if (!(ls >> spec.seed)) fail(line_no, "seed: missing value");
+      spec.seed = read_u64(ls, line_no, "seed:");
     } else if (keyword == "cores") {
-      if (!(ls >> spec.total_cores)) fail(line_no, "cores: missing count");
+      spec.total_cores = read_u64(ls, line_no, "cores:");
     } else if (keyword == "region") {
       RegionDecl r;
       if (!(ls >> r.name)) fail(line_no, "region: missing name");
@@ -126,21 +209,16 @@ Spec parse_coreobject(std::istream& is) {
           if (!parsed) fail(line_no, "region: unknown class '" + cls + "'");
           r.cls = *parsed;
         } else if (field == "volume") {
-          std::string v;
-          if (!(ls >> v)) fail(line_no, "region: volume missing value");
+          const std::string v = next_token(ls, line_no, "region: volume");
           if (v == "unknown") {
             r.volume = std::nullopt;
           } else {
-            try {
-              r.volume = std::stod(v);
-            } catch (const std::exception&) {
-              fail(line_no, "region: bad volume '" + v + "'");
-            }
+            r.volume = real_of(v, line_no, "region: volume");
           }
         } else if (field == "self") {
-          if (!(ls >> r.self_fraction)) fail(line_no, "region: self missing value");
+          r.self_fraction = read_real(ls, line_no, "region: self");
         } else if (field == "rate") {
-          if (!(ls >> r.rate_hz)) fail(line_no, "region: rate missing value");
+          r.rate_hz = read_real(ls, line_no, "region: rate");
         } else if (field == "kind") {
           std::string kind;
           if (!(ls >> kind)) fail(line_no, "region: kind missing value");
@@ -155,7 +233,8 @@ Spec parse_coreobject(std::istream& is) {
     } else if (keyword == "edge") {
       EdgeDecl e;
       if (!(ls >> e.src >> e.dst)) fail(line_no, "edge: missing endpoints");
-      if (!(ls >> e.weight)) e.weight = 1.0;
+      std::string w;
+      if (ls >> w) e.weight = real_of(w, line_no, "edge: weight");
       spec.edges.push_back(std::move(e));
     } else {
       fail(line_no, "unknown keyword '" + keyword + "'");

@@ -79,9 +79,16 @@ struct Spec {
   /// Index of a region by name, or -1.
   int region_index(const std::string& name) const;
 
+  /// Each region's volume, an unknown one imputed with the median of its
+  /// class's known volumes (of all known volumes when its class has none;
+  /// 1.0 when no volume is known).
+  std::vector<double> volumes() const;
+
   /// Structural checks: unique region names, edges reference declared
-  /// regions, fractions/rates in range, at least one region, cores >=
-  /// number of regions. Returns empty string if valid.
+  /// regions, fractions/rates/volumes/weights finite and in range, at least
+  /// one region, number of regions <= cores < arch::kInvalidCore, and every
+  /// region's weighted out-volume sum small enough for PCC's demand matrix.
+  /// Returns empty string if valid.
   std::string validate() const;
 };
 

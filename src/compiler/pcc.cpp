@@ -40,13 +40,6 @@ struct SlotRange {
   }
 };
 
-double median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
 }  // namespace
 
 bool is_inhibitory_neuron(unsigned j, double excitatory_fraction) {
@@ -82,17 +75,7 @@ PccResult compile(const Spec& spec, const PccOptions& options,
 
   // ---- 1. Volume imputation + core apportionment -------------------------
   {
-    std::vector<double> class_volumes[4];
-    std::vector<double> all_volumes;
-    for (const RegionDecl& r : spec.regions) {
-      if (r.volume) {
-        class_volumes[static_cast<int>(r.cls)].push_back(*r.volume);
-        all_volumes.push_back(*r.volume);
-      }
-    }
-    const double global_median = all_volumes.empty() ? 1.0 : median(all_volumes);
-
-    std::vector<double> volumes(num_regions);
+    const std::vector<double> volumes = spec.volumes();
     for (std::size_t i = 0; i < num_regions; ++i) {
       const RegionDecl& decl = spec.regions[i];
       RegionInfo& info = result.regions[i];
@@ -101,14 +84,8 @@ PccResult compile(const Spec& spec, const PccOptions& options,
       info.kind = decl.kind;
       info.self_fraction = decl.self_fraction;
       info.rate_hz = decl.rate_hz;
-      if (decl.volume) {
-        info.volume = *decl.volume;
-      } else {
-        const auto& cls = class_volumes[static_cast<int>(decl.cls)];
-        info.volume = cls.empty() ? global_median : median(cls);
-        info.volume_imputed = true;
-      }
-      volumes[i] = info.volume;
+      info.volume = volumes[i];
+      info.volume_imputed = !decl.volume;
     }
 
     const std::vector<std::int64_t> cores = apportion(

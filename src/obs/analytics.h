@@ -191,7 +191,7 @@ class AnalyticsEngine final : public TickObserver {
   void flush();
   /// Flushes before the runtime snapshots its metrics, so the partial
   /// window's gauges land in RunReport::metrics.
-  void end_run(RunEnd& /*out*/) override { flush(); }
+  void end_run() override { flush(); }
 
   // --- Introspection (tests, CLI summaries) --------------------------------
   std::uint64_t windows_emitted() const { return windows_; }

@@ -1,9 +1,9 @@
 // The tick loop's one observer seam.
 //
 // runtime::Compass runs the paper's tick loop (Listing 1). Everything that
-// watches the loop — the spike tracer, the analytics engine, the wall
-// profiler, the profile collector, the flight recorder and the raster
-// recorder (io/raster.h) — implements TickObserver. Compass keeps the
+// watches the loop — the spike tracer, the analytics engine, the profiler,
+// the flight recorder and the raster recorder (io/raster.h) — implements
+// TickObserver. Compass keeps the
 // attached planes in one list and calls each hook on every plane in attach
 // order, so the loop itself names no plane. A plane overrides the hooks it
 // needs; the rest are no-ops.
@@ -26,9 +26,6 @@
 #include "perf/ledger.h"
 
 namespace compass::obs {
-
-class CommMatrix;
-struct ProfileSummary;
 
 /// One rank's functional counts for one tick.
 struct RankTickCounts {
@@ -66,14 +63,6 @@ struct TickView {
   std::uint64_t wire_bytes = 0;
 };
 
-/// What end_run() hands back: the runtime copies the profile into
-/// RunReport::profile and sends it, with the matrix, to every trace sink.
-/// The pointers must stay valid until the next end_run().
-struct RunEnd {
-  const ProfileSummary* profile = nullptr;
-  const CommMatrix* comm_matrix = nullptr;
-};
-
 class TickObserver {
  public:
   virtual ~TickObserver() = default;
@@ -95,7 +84,7 @@ class TickObserver {
   /// callbacks run.
   virtual void end_tick(const TickView& /*view*/) {}
   /// Driver thread, at the end of Compass::run().
-  virtual void end_run(RunEnd& /*out*/) {}
+  virtual void end_run() {}
 };
 
 }  // namespace compass::obs

@@ -43,6 +43,18 @@ CommCell CommMatrix::off_diagonal_total() const {
   return out;
 }
 
+std::pair<int, std::uint64_t> ProfileSummary::most_critical(
+    std::uint64_t RankCriticalCounts::*phase) const {
+  std::pair<int, std::uint64_t> best{0, 0};
+  for (std::size_t r = 0; r < critical.size(); ++r) {
+    const RankCriticalCounts& c = critical[r];
+    const std::uint64_t n =
+        phase != nullptr ? c.*phase : c.synapse + c.neuron + c.network;
+    if (n > best.second) best = {static_cast<int>(r), n};
+  }
+  return best;
+}
+
 double imbalance_factor(const std::vector<RankPhaseSeconds>& ranks,
                         double RankPhaseSeconds::*phase) {
   if (ranks.empty()) return 1.0;
@@ -53,61 +65,6 @@ double imbalance_factor(const std::vector<RankPhaseSeconds>& ranks,
   }
   const double mean = sum / static_cast<double>(ranks.size());
   return mean > 0.0 ? max / mean : 1.0;
-}
-
-void ProfileCollector::end_tick(const TickView& view) {
-  const std::size_t n = std::min(view.rank_times.size(), rank_phase_s_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const perf::RankTickTimes& r = view.rank_times[i];
-    RankPhaseSeconds& acc = rank_phase_s_[i];
-    // Same leg accounting as the trace spans (compute_s + comm_s), so the
-    // offline analyzer reproduces these accumulators from a trace.
-    acc.synapse += r.synapse;
-    acc.neuron += (r.neuron + r.aggregate) + r.send;
-    acc.network += (r.local_deliver + r.remote_deliver) + (r.sync + r.recv);
-  }
-
-  const perf::TickAttribution& attribution = view.attribution;
-  totals_ += view.composed;
-  ++ticks_;
-  sync_s_ += attribution.sync_s;
-  hidden_s_ += attribution.hidden_s;
-  const auto bump = [this](int rank, std::uint64_t RankCriticalCounts::*c) {
-    if (rank >= 0 && static_cast<std::size_t>(rank) < critical_.size()) {
-      ++(critical_[static_cast<std::size_t>(rank)].*c);
-    }
-  };
-  bump(attribution.synapse_rank, &RankCriticalCounts::synapse);
-  bump(attribution.neuron_rank, &RankCriticalCounts::neuron);
-  bump(attribution.network_rank, &RankCriticalCounts::network);
-
-  const std::size_t ranks = std::min(
-      view.rank_counts.size(), static_cast<std::size_t>(matrix_.ranks()));
-  for (std::size_t r = 0; r < ranks; ++r) {
-    const std::uint64_t local = view.rank_counts[r].local_delivered;
-    if (local != 0) matrix_.record_local(static_cast<int>(r), local);
-  }
-}
-
-void ProfileCollector::end_run(RunEnd& out) {
-  run_summary_ = summary();
-  out.profile = &run_summary_;
-  out.comm_matrix = &matrix_;
-}
-
-ProfileSummary ProfileCollector::summary() const {
-  ProfileSummary out;
-  out.ticks = ticks_;
-  out.totals = totals_;
-  out.rank_phase_s = rank_phase_s_;
-  out.critical = critical_;
-  out.imbalance = {
-      imbalance_factor(rank_phase_s_, &RankPhaseSeconds::synapse),
-      imbalance_factor(rank_phase_s_, &RankPhaseSeconds::neuron),
-      imbalance_factor(rank_phase_s_, &RankPhaseSeconds::network)};
-  out.sync_s = sync_s_;
-  out.hidden_s = hidden_s_;
-  return out;
 }
 
 namespace {
@@ -127,40 +84,58 @@ void write_matrix_field(std::ostream& os, const CommMatrix& m,
   os << ']';
 }
 
+// The fields the profile record and compass_prof --json share.
+void write_head(std::ostream& os, std::uint64_t ticks, int ranks,
+                const perf::PhaseBreakdown& totals) {
+  os << "\"ticks\":" << ticks << ",\"ranks\":" << ranks
+     << ",\"totals\":{\"synapse_s\":";
+  write_json_double(os, totals.synapse);
+  os << ",\"neuron_s\":";
+  write_json_double(os, totals.neuron);
+  os << ",\"network_s\":";
+  write_json_double(os, totals.network);
+  os << '}';
+}
+
+void write_ranks(std::ostream& os, const std::vector<RankPhaseSeconds>& rps,
+                 const std::vector<RankCriticalCounts>& critical) {
+  os << ",\"rank_phase_s\":[";
+  for (std::size_t r = 0; r < rps.size(); ++r) {
+    if (r) os << ',';
+    os << '[';
+    write_json_double(os, rps[r].synapse);
+    os << ',';
+    write_json_double(os, rps[r].neuron);
+    os << ',';
+    write_json_double(os, rps[r].network);
+    os << ']';
+  }
+  os << "],\"critical\":[";
+  for (std::size_t r = 0; r < critical.size(); ++r) {
+    if (r) os << ',';
+    os << '[' << critical[r].synapse << ',' << critical[r].neuron << ','
+       << critical[r].network << ']';
+  }
+  os << ']';
+}
+
+void write_imbalance(std::ostream& os, const std::array<double, 3>& f) {
+  os << ",\"imbalance\":[";
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    if (i) os << ',';
+    write_json_double(os, f[i]);
+  }
+  os << ']';
+}
+
 }  // namespace
 
 void write_profile_fields(std::ostream& os, const ProfileSummary& p,
                           const CommMatrix& m) {
-  os << "\"ticks\":" << p.ticks << ",\"ranks\":" << p.ranks()
-     << ",\"totals\":{\"synapse_s\":";
-  write_json_double(os, p.totals.synapse);
-  os << ",\"neuron_s\":";
-  write_json_double(os, p.totals.neuron);
-  os << ",\"network_s\":";
-  write_json_double(os, p.totals.network);
-  os << "},\"rank_phase_s\":[";
-  for (std::size_t r = 0; r < p.rank_phase_s.size(); ++r) {
-    if (r) os << ',';
-    os << '[';
-    write_json_double(os, p.rank_phase_s[r].synapse);
-    os << ',';
-    write_json_double(os, p.rank_phase_s[r].neuron);
-    os << ',';
-    write_json_double(os, p.rank_phase_s[r].network);
-    os << ']';
-  }
-  os << "],\"critical\":[";
-  for (std::size_t r = 0; r < p.critical.size(); ++r) {
-    if (r) os << ',';
-    os << '[' << p.critical[r].synapse << ',' << p.critical[r].neuron << ','
-       << p.critical[r].network << ']';
-  }
-  os << "],\"imbalance\":[";
-  for (std::size_t i = 0; i < p.imbalance.size(); ++i) {
-    if (i) os << ',';
-    write_json_double(os, p.imbalance[i]);
-  }
-  os << "],\"sync_s\":";
+  write_head(os, p.ticks, p.ranks(), p.totals);
+  write_ranks(os, p.rank_phase_s, p.critical);
+  write_imbalance(os, p.imbalance);
+  os << ",\"sync_s\":";
   write_json_double(os, p.sync_s);
   os << ",\"hidden_s\":";
   write_json_double(os, p.hidden_s);
@@ -532,36 +507,11 @@ void write_trace_report(std::ostream& os, const TraceProfile& p, int top_k) {
 }
 
 void write_trace_report_json(std::ostream& os, const TraceProfile& p) {
-  os << "{\"ticks\":" << p.ticks << ",\"ranks\":" << p.ranks
-     << ",\"totals\":{\"synapse_s\":";
-  write_json_double(os, p.totals.synapse);
-  os << ",\"neuron_s\":";
-  write_json_double(os, p.totals.neuron);
-  os << ",\"network_s\":";
-  write_json_double(os, p.totals.network);
-  os << "},\"imbalance\":[";
-  for (std::size_t i = 0; i < p.imbalance.size(); ++i) {
-    if (i) os << ',';
-    write_json_double(os, p.imbalance[i]);
-  }
-  os << "],\"rank_phase_s\":[";
-  for (std::size_t r = 0; r < p.rank_phase_s.size(); ++r) {
-    if (r) os << ',';
-    os << '[';
-    write_json_double(os, p.rank_phase_s[r].synapse);
-    os << ',';
-    write_json_double(os, p.rank_phase_s[r].neuron);
-    os << ',';
-    write_json_double(os, p.rank_phase_s[r].network);
-    os << ']';
-  }
-  os << "],\"critical\":[";
-  for (std::size_t r = 0; r < p.critical.size(); ++r) {
-    if (r) os << ',';
-    os << '[' << p.critical[r].synapse << ',' << p.critical[r].neuron << ','
-       << p.critical[r].network << ']';
-  }
-  os << "],\"fired\":" << p.fired << ",\"routed\":" << p.routed
+  os << '{';
+  write_head(os, p.ticks, p.ranks, p.totals);
+  write_imbalance(os, p.imbalance);
+  write_ranks(os, p.rank_phase_s, p.critical);
+  os << ",\"fired\":" << p.fired << ",\"routed\":" << p.routed
      << ",\"local\":" << p.local << ",\"remote\":" << p.remote
      << ",\"messages\":" << p.messages << ",\"bytes\":" << p.bytes;
   if (p.dropped > 0) os << ",\"dropped\":" << p.dropped;

@@ -13,9 +13,8 @@
 //     never touch the wire), so the matrix's spike total equals
 //     RunReport::routed_spikes while its message/byte row, column, and
 //     grand totals equal RunReport::messages / wire_bytes exactly.
-//   * ProfileCollector  — per-rank, per-phase virtual-time accumulators fed
-//     by the runtime's end_tick hook (obs/observer.h), with derived
-//     diagnostics:
+//   * ProfileSummary    — the profiler plane's (obs/wallprof.h) per-rank,
+//     per-phase virtual-time accumulators, with derived diagnostics:
 //       - load-imbalance factor per phase: max_r(T_r) / mean_r(T_r), 1.0
 //         for a perfectly balanced (or empty) phase;
 //       - critical-rank attribution: how often each rank set each slice of
@@ -41,9 +40,9 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "obs/observer.h"
 #include "perf/ledger.h"
 
 namespace compass::obs {
@@ -124,8 +123,9 @@ struct RankCriticalCounts {
   std::uint64_t network = 0;
 };
 
-/// End-of-run profile: what RunReport carries and the JSONL profile record
-/// serializes. Plain values — safe to copy across API boundaries.
+/// The profiler's virtual-time profile: what Profiler::summary() returns and
+/// the JSONL profile record serializes. Plain values — safe to copy across
+/// API boundaries.
 struct ProfileSummary {
   std::uint64_t ticks = 0;
   perf::PhaseBreakdown totals;  // == RunReport::virtual_time
@@ -139,48 +139,16 @@ struct ProfileSummary {
   double overlap_efficiency() const {
     return sync_s > 0.0 ? hidden_s / sync_s : 0.0;
   }
+  /// The rank that most often set `phase`'s slice of the tick makespan (any
+  /// slice when `phase` is null) and how often; ties go to the lower rank.
+  std::pair<int, std::uint64_t> most_critical(
+      std::uint64_t RankCriticalCounts::*phase = nullptr) const;
 };
 
 /// max/mean over per-rank phase seconds; 1.0 when the phase has no time (an
 /// empty phase is perfectly balanced, and the factor stays >= 1).
 double imbalance_factor(const std::vector<RankPhaseSeconds>& ranks,
                         double RankPhaseSeconds::*phase);
-
-/// Online profiler. Attach with runtime::Compass::set_profile(); the
-/// runtime feeds it once per tick and the transports feed comm_matrix()
-/// once per send. Accumulates until destroyed — one collector profiles a
-/// whole run (or several run() calls over the same simulator).
-class ProfileCollector final : public TickObserver {
- public:
-  explicit ProfileCollector(int ranks)
-      : matrix_(ranks),
-        rank_phase_s_(static_cast<std::size_t>(ranks)),
-        critical_(static_cast<std::size_t>(ranks)) {}
-
-  int ranks() const { return matrix_.ranks(); }
-  CommMatrix& comm_matrix() { return matrix_; }
-  const CommMatrix& comm_matrix() const { return matrix_; }
-
-  /// Accumulates the tick's per-rank phase seconds, composed slices and
-  /// critical-rank attribution, and the comm matrix's diagonal: spikes
-  /// routed within a rank never touch the transport, so its send path
-  /// cannot see them.
-  void end_tick(const TickView& view) override;
-  /// Hands the summary so far and the comm matrix to the runtime.
-  void end_run(RunEnd& out) override;
-
-  ProfileSummary summary() const;
-
- private:
-  CommMatrix matrix_;
-  std::vector<RankPhaseSeconds> rank_phase_s_;
-  std::vector<RankCriticalCounts> critical_;
-  perf::PhaseBreakdown totals_;
-  std::uint64_t ticks_ = 0;
-  double sync_s_ = 0.0;
-  double hidden_s_ = 0.0;
-  ProfileSummary run_summary_;  // what the last end_run() handed out
-};
 
 /// Serialize a profile as one JSON object (the --profile-out document and
 /// the payload of the JSONL "profile" record — schema in DESIGN.md §8).

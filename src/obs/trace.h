@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,9 +72,9 @@ struct TickRecord {
   friend bool operator==(const TickRecord&, const TickRecord&) = default;
 };
 
-/// End-of-run profile, emitted once after run() when a ProfileCollector is
-/// attached (src/obs/profile.h). Pointers stay valid only for the duration
-/// of the on_profile() call.
+/// End-of-run profile, emitted at the end of each run() by the profiler
+/// plane to its own sinks (obs/wallprof.h). Pointers stay valid only for
+/// the duration of the on_profile() call.
 struct ProfileRecord {
   const ProfileSummary* summary = nullptr;
   const CommMatrix* matrix = nullptr;
@@ -190,10 +189,6 @@ class TraceBuffer final : public TraceSink {
  public:
   void on_span(const SpanRecord& span) override { spans_.push_back(span); }
   void on_tick(const TickRecord& tick) override { ticks_.push_back(tick); }
-  void on_profile(const ProfileRecord& profile) override {
-    if (profile.summary != nullptr) summary_ = *profile.summary;
-    if (profile.matrix != nullptr) matrix_ = *profile.matrix;
-  }
   // The policy pointer is retained as-is; emitters pass static strings
   // (resilience::to_string(RecoveryPolicy)), so buffering stays safe.
   void on_recovery(const RecoveryRecord& recovery) override {
@@ -229,18 +224,12 @@ class TraceBuffer final : public TraceSink {
   const std::vector<OwnedAnalyticsRecord>& analytics() const {
     return analytics_;
   }
-  const std::optional<ProfileSummary>& profile_summary() const {
-    return summary_;
-  }
-  const std::optional<CommMatrix>& comm_matrix() const { return matrix_; }
   void clear() {
     spans_.clear();
     ticks_.clear();
     recoveries_.clear();
     sessions_.clear();
     analytics_.clear();
-    summary_.reset();
-    matrix_.reset();
   }
 
  private:
@@ -249,8 +238,6 @@ class TraceBuffer final : public TraceSink {
   std::vector<RecoveryRecord> recoveries_;
   std::vector<OwnedSessionRecord> sessions_;
   std::vector<OwnedAnalyticsRecord> analytics_;
-  std::optional<ProfileSummary> summary_;
-  std::optional<CommMatrix> matrix_;
 };
 
 /// Buffers the run and renders the virtual-time makespan as a Chrome-trace

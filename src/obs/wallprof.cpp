@@ -83,12 +83,6 @@ void parse_stats_fields(const jsonv::JsonValue& obj, WallPhaseStats& s,
   }
 }
 
-KernelDispatchCounts dispatch_counts_now() {
-  const arch::kernels::DispatchCounters c = arch::kernels::dispatch_counters();
-  return {c.synapse_bitparallel, c.synapse_scalar, c.neuron_fast,
-          c.neuron_stoch_soa, c.neuron_scalar};
-}
-
 std::string format_seconds_human(double s) {
   char buf[32];
   if (s < 120.0) {
@@ -275,14 +269,16 @@ void write_wallprof_summary_json(std::ostream& os,
   os << "]}\n";
 }
 
-// --- WallProfiler -----------------------------------------------------------
+// --- Profiler ---------------------------------------------------------------
 
-WallProfiler::WallProfiler(int ranks, WallprofOptions options)
-    : ranks_(ranks), options_(options) {
+Profiler::Profiler(int ranks, WallprofOptions options)
+    : ranks_(ranks), options_(options), matrix_(std::max(ranks, 0)) {
   if (ranks_ < 1) {
-    throw std::invalid_argument("WallProfiler: ranks must be >= 1");
+    throw std::invalid_argument("Profiler: ranks must be >= 1");
   }
   rank_.assign(static_cast<std::size_t>(ranks_), {});
+  profile_.rank_phase_s.assign(rank_.size(), {});
+  profile_.critical.assign(rank_.size(), {});
   // Calibrate the per-operation cost (one clock read + one stat update) so
   // overhead_s() can estimate what the instrumentation consumed. A record()
   // bracket costs ~two clock reads, hence the factor.
@@ -297,14 +293,22 @@ WallProfiler::WallProfiler(int ranks, WallprofOptions options)
   op_cost_s_ += dummy.total_s * 0.0;  // keep the calibration loop live
 }
 
-void WallProfiler::set_metrics(MetricsRegistry* metrics) {
+Profiler::~Profiler() {
+  if (counting_) arch::kernels::set_dispatch_counting(counting_before_);
+}
+
+void Profiler::add_sink(TraceSink* sink) {
+  if (sink != nullptr) sinks_.push_back(sink);
+}
+
+void Profiler::set_metrics(MetricsRegistry* metrics) {
   metrics_ = metrics;
   if (metrics_ == nullptr) return;
   m_ticks_per_s_ = metrics_->gauge("compass_ticks_per_second", "ticks/s");
   m_rss_ = metrics_->gauge("compass_rss_bytes", "bytes");
 }
 
-void WallProfiler::record(int rank, WallPhase phase, double seconds) {
+void Profiler::record(int rank, WallPhase phase, double seconds) {
   assert(rank >= 0 && rank < ranks_);
   const int p = static_cast<int>(phase);
   assert(p < kRankWallPhases);
@@ -313,30 +317,25 @@ void WallProfiler::record(int rank, WallPhase phase, double seconds) {
   ops_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void WallProfiler::record_global(WallPhase phase, double seconds) {
+void Profiler::record_global(WallPhase phase, double seconds) {
   global_[static_cast<std::size_t>(phase)].observe(seconds);
   ops_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void WallProfiler::add_virtual(int rank, WallPhase phase, double seconds) {
-  assert(rank >= 0 && rank < ranks_);
-  const int p = static_cast<int>(phase);
-  assert(p < kRankWallPhases);
-  rank_[static_cast<std::size_t>(rank)][static_cast<std::size_t>(p)]
-      .virtual_s += seconds;
-}
-
-void WallProfiler::begin_tick(arch::Tick /*tick*/) {
-  if (epoch_set_) return;
-  epoch_s_ = util::monotonic_seconds();
-  epoch_set_ = true;
-  // Kernel dispatches count from the first tick; every end_run() refreshes
-  // the summary's counts since then.
+void Profiler::begin_tick(arch::Tick /*tick*/) {
+  if (!epoch_set_) {
+    epoch_s_ = util::monotonic_seconds();
+    epoch_set_ = true;
+  }
+  if (counting_) return;
+  // Kernel dispatches count from each run's first tick to its end_run().
+  counting_ = true;
+  counting_before_ = arch::kernels::dispatch_counting();
   arch::kernels::set_dispatch_counting(true);
-  kernel_base_ = dispatch_counts_now();
+  kernel_base_ = arch::kernels::dispatch_counters();
 }
 
-void WallProfiler::end_tick(const TickView& view) {
+void Profiler::end_tick(const TickView& view) {
   for (std::size_t r = 0; r < view.rank_wall.size(); ++r) {
     const int rank = static_cast<int>(r);
     const RankWallTimes& w = view.rank_wall[r];
@@ -345,17 +344,44 @@ void WallProfiler::end_tick(const TickView& view) {
     record(rank, WallPhase::kSend, w.send);
     record(rank, WallPhase::kNetwork, w.network);
   }
-  // The modelled (virtual) per-rank phase seconds next to the wall brackets
-  // — the two axes compass_prof --wall divides.
-  for (std::size_t r = 0; r < view.rank_times.size(); ++r) {
-    const int rank = static_cast<int>(r);
+  const std::size_t n = std::min(view.rank_times.size(), rank_.size());
+  for (std::size_t r = 0; r < n; ++r) {
     const perf::RankTickTimes& rt = view.rank_times[r];
-    add_virtual(rank, WallPhase::kSynapse, rt.synapse);
-    add_virtual(rank, WallPhase::kNeuron, rt.neuron + rt.aggregate);
-    add_virtual(rank, WallPhase::kSend, rt.send);
-    add_virtual(rank, WallPhase::kExchange, rt.sync);
-    add_virtual(rank, WallPhase::kNetwork,
-                rt.local_deliver + rt.remote_deliver + rt.recv);
+    auto& phase = rank_[r];
+    const auto add = [&phase](WallPhase p, double seconds) {
+      phase[static_cast<std::size_t>(p)].virtual_s += seconds;
+    };
+    // The phase columns compass_prof --wall divides by the wall brackets.
+    add(WallPhase::kSynapse, rt.synapse);
+    add(WallPhase::kNeuron, rt.neuron + rt.aggregate);
+    add(WallPhase::kSend, rt.send);
+    add(WallPhase::kExchange, rt.sync);
+    add(WallPhase::kNetwork, rt.local_deliver + rt.remote_deliver + rt.recv);
+    // The trace spans' legs (compute_s + comm_s), summed in span order so
+    // analyze_trace reproduces them from a trace bit for bit.
+    RankPhaseSeconds& legs = profile_.rank_phase_s[r];
+    legs.synapse += rt.synapse;
+    legs.neuron += (rt.neuron + rt.aggregate) + rt.send;
+    legs.network +=
+        (rt.local_deliver + rt.remote_deliver) + (rt.sync + rt.recv);
+  }
+
+  const perf::TickAttribution& attribution = view.attribution;
+  profile_.totals += view.composed;
+  profile_.sync_s += attribution.sync_s;
+  profile_.hidden_s += attribution.hidden_s;
+  const auto bump = [this](int rank, std::uint64_t RankCriticalCounts::*c) {
+    if (rank >= 0 && rank < ranks_) {
+      ++(profile_.critical[static_cast<std::size_t>(rank)].*c);
+    }
+  };
+  bump(attribution.synapse_rank, &RankCriticalCounts::synapse);
+  bump(attribution.neuron_rank, &RankCriticalCounts::neuron);
+  bump(attribution.network_rank, &RankCriticalCounts::network);
+  const std::size_t counted = std::min(view.rank_counts.size(), rank_.size());
+  for (std::size_t r = 0; r < counted; ++r) {
+    const std::uint64_t local = view.rank_counts[r].local_delivered;
+    if (local != 0) matrix_.record_local(static_cast<int>(r), local);
   }
 
   const double now = util::monotonic_seconds();
@@ -380,19 +406,26 @@ void WallProfiler::end_tick(const TickView& view) {
   }
 }
 
-void WallProfiler::end_run(RunEnd& /*out*/) {
-  if (!epoch_set_) return;
-  const KernelDispatchCounts now = dispatch_counts_now();
-  kernels_.synapse_bitparallel =
-      now.synapse_bitparallel - kernel_base_.synapse_bitparallel;
-  kernels_.synapse_scalar = now.synapse_scalar - kernel_base_.synapse_scalar;
-  kernels_.neuron_fast = now.neuron_fast - kernel_base_.neuron_fast;
-  kernels_.neuron_stoch_soa =
-      now.neuron_stoch_soa - kernel_base_.neuron_stoch_soa;
-  kernels_.neuron_scalar = now.neuron_scalar - kernel_base_.neuron_scalar;
+void Profiler::end_run() {
+  if (counting_) {
+    const KernelDispatchCounts now = arch::kernels::dispatch_counters();
+    kernels_.synapse_bitparallel +=
+        now.synapse_bitparallel - kernel_base_.synapse_bitparallel;
+    kernels_.synapse_scalar += now.synapse_scalar - kernel_base_.synapse_scalar;
+    kernels_.neuron_fast += now.neuron_fast - kernel_base_.neuron_fast;
+    kernels_.neuron_stoch_soa +=
+        now.neuron_stoch_soa - kernel_base_.neuron_stoch_soa;
+    kernels_.neuron_scalar += now.neuron_scalar - kernel_base_.neuron_scalar;
+    arch::kernels::set_dispatch_counting(counting_before_);
+    counting_ = false;
+  }
+  if (sinks_.empty()) return;
+  const ProfileSummary profile = summary();
+  const ProfileRecord rec{&profile, &matrix_};
+  for (TraceSink* sink : sinks_) sink->on_profile(rec);
 }
 
-void WallProfiler::emit_heartbeat(std::uint64_t tick) {
+void Profiler::emit_heartbeat(std::uint64_t tick) {
   if (sink_ == nullptr) return;
   std::ostream& os = *sink_;
   os << "{\"type\":\"wallheartbeat\",\"tick\":" << tick
@@ -403,12 +436,22 @@ void WallProfiler::emit_heartbeat(std::uint64_t tick) {
   os << ",\"rss_bytes\":" << last_resources_.rss_bytes << "}\n";
 }
 
-double WallProfiler::overhead_s() const {
+double Profiler::overhead_s() const {
   return static_cast<double>(ops_.load(std::memory_order_relaxed)) *
          op_cost_s_;
 }
 
-WallprofSummary WallProfiler::summary() const {
+ProfileSummary Profiler::summary() const {
+  ProfileSummary out = profile_;
+  out.ticks = ticks_;
+  out.imbalance = {
+      imbalance_factor(out.rank_phase_s, &RankPhaseSeconds::synapse),
+      imbalance_factor(out.rank_phase_s, &RankPhaseSeconds::neuron),
+      imbalance_factor(out.rank_phase_s, &RankPhaseSeconds::network)};
+  return out;
+}
+
+WallprofSummary Profiler::wall_summary() const {
   WallprofSummary s;
   s.ranks = ranks_;
   s.ticks = ticks_;
@@ -424,8 +467,8 @@ WallprofSummary WallProfiler::summary() const {
   return s;
 }
 
-void WallProfiler::write_summary() {
-  const WallprofSummary s = summary();
+void Profiler::write_summary() {
+  const WallprofSummary s = wall_summary();
   if (metrics_ != nullptr) {
     for (int p = 0; p < kWallPhaseCount; ++p) {
       const auto phase = static_cast<WallPhase>(p);

@@ -1,29 +1,26 @@
-// Host wall-clock observability plane.
+// The profiler plane: one per-rank x per-phase table, two clocks.
 //
-// Everything else under src/obs/ accounts *virtual* time — the modelled
-// parallel machine on the 1-tick = 1-ms timeline. This module watches
-// Compass-the-program instead: where the host's wall clock goes per rank and
-// phase, how fast ticks are retiring, how much memory the process holds, and
-// what the instrumentation itself costs. It is the measurement rig for the
-// "fast as the hardware allows" arc (ROADMAP items 1-4).
+// Each tick the runtime hands the plane every rank's phase times on the
+// *virtual* clock (the ledger: what the modelled machine would spend) and
+// the *wall* clock (monotonic: what this host spent emulating the same
+// region); their ratio per phase is the emulation slowdown. Two views are
+// read from the table:
+//   * the virtual profile (obs/profile.h) — per-rank phase seconds in
+//     trace-span accounting, critical ranks, overlap legs and the comm
+//     matrix: a {"type":"profile"} record to the plane's trace sinks
+//     (add_sink) at the end of each run, --profile-out, compass_prof;
+//   * the wall profile (WallprofSummary) — wall brackets next to virtual
+//     seconds, global wall events (exchange, checkpoint, recovery, PCC
+//     compile), tick rate, RSS, kernel-dispatch mix and the
+//     instrumentation's own cost: JSONL to the wall sink (set_sink),
+//     compass_prof --wall.
 //
-// Design constraints (same contract as metrics.h / profile.h):
-//   * Off by default, near-zero cost when detached: the runtime reads the
-//     monotonic clock (util::monotonic_seconds()) only while an observer is
-//     attached (obs/observer.h).
-//   * Deterministic functional output is untouched: wall records ride their
-//     own sink (set_sink), never a trace sink, so golden traces, determinism
-//     suites, and checkpoints stay byte-identical with the profiler on.
-//   * Race-free: the runtime brackets each rank's phases into its own
-//     TickView slot inside the parallel rank loop, and the profiler records
-//     them at end_tick() on the driver thread; the shared self-overhead op
-//     counter is a relaxed atomic.
-//
-// Virtual-vs-wall semantics: the per-rank *virtual* phase seconds (the
-// ledger's rank times, read at end_tick) are what the modelled machine would
-// spend; the *wall* seconds are what this host actually spent emulating the
-// same region. Their ratio is the emulation slowdown per phase — the number
-// compass_prof --wall reports. They are different axes, not an error bar.
+// Contract (as metrics.h): off by default, and the runtime reads the
+// monotonic clock only while an observer is attached; wall records never
+// ride a trace sink, so traces, goldens and checkpoints stay byte-identical
+// with the plane on; race-free, since the runtime brackets each rank's
+// phases into its own TickView slot and the plane records them at
+// end_tick() on the driver thread (the op counter is a relaxed atomic).
 #pragma once
 
 #include <array>
@@ -34,8 +31,11 @@
 
 #include <atomic>
 
+#include "arch/kernels.h"
 #include "obs/metrics.h"
 #include "obs/observer.h"
+#include "obs/profile.h"
+#include "obs/trace.h"
 
 namespace compass::obs {
 
@@ -122,18 +122,12 @@ HostResources sample_host_resources();
 
 // --- Kernel dispatch attribution --------------------------------------------
 
-/// How many phase executions took each hot-loop path while the profiler was
-/// attached (snapshot deltas of arch::kernels' dispatch counters). Makes the
-/// bit-parallel vs reference wall cost attributable: a synapse wall total
-/// with synapse_scalar dominant means the dispatcher, not the kernel, owns
-/// the time.
-struct KernelDispatchCounts {
-  std::uint64_t synapse_bitparallel = 0;
-  std::uint64_t synapse_scalar = 0;
-  std::uint64_t neuron_fast = 0;
-  std::uint64_t neuron_stoch_soa = 0;
-  std::uint64_t neuron_scalar = 0;
-};
+/// How many phase executions took each hot-loop path during the profiled
+/// runs (deltas of arch::kernels' dispatch counters). Makes the bit-parallel
+/// vs reference wall cost attributable: a synapse wall total with
+/// synapse_scalar dominant means the dispatcher, not the kernel, owns the
+/// time.
+using KernelDispatchCounts = arch::kernels::DispatchCounters;
 
 // --- The profiler -----------------------------------------------------------
 
@@ -143,7 +137,7 @@ struct WallprofOptions {
   std::uint64_t heartbeat_every_ticks = 0;
 };
 
-/// One rank's wall + virtual accumulation for the per-rank phases.
+/// One rank's wall + virtual accumulation for one per-rank phase.
 struct WallRankPhase {
   WallPhaseStats wall;
   double virtual_s = 0.0;
@@ -175,22 +169,39 @@ struct WallprofSummary {
 void write_wallprof_summary_json(std::ostream& os,
                                  const WallprofSummary& summary);
 
-class WallProfiler final : public TickObserver {
+/// The profiler plane. Attach with runtime::Compass::set_wall_profiler();
+/// the runtime feeds it once per tick, and the transport feeds the comm
+/// matrix once per send and the exchange bracket once per tick. Accumulates
+/// until destroyed: one plane profiles a whole run, or several run() calls
+/// over the same simulator.
+class Profiler final : public TickObserver {
  public:
-  explicit WallProfiler(int ranks, WallprofOptions options = {});
+  explicit Profiler(int ranks, WallprofOptions options = {});
+  /// Restores the dispatch-counting state if destroyed mid-run.
+  ~Profiler() override;
+  Profiler(const Profiler&) = delete;
+  Profiler& operator=(const Profiler&) = delete;
 
   int ranks() const { return ranks_; }
-  const WallprofOptions& options() const { return options_; }
 
-  /// JSONL sink for heartbeat records and the end-of-run summary. Separate
-  /// from every trace sink by design; pass nullptr to detach. The stream
-  /// must outlive the profiler.
+  /// Trace sink that receives the {"type":"profile"} record at the end of
+  /// each run. Sinks must outlive the plane.
+  void add_sink(TraceSink* sink);
+
+  /// JSONL sink for heartbeat records and the end-of-run wall summary.
+  /// Separate from every trace sink by design; pass nullptr to detach. The
+  /// stream must outlive the plane.
   void set_sink(std::ostream* os) { sink_ = os; }
 
   /// Publish live gauges (compass_ticks_per_second, compass_rss_bytes, and
   /// per-phase compass_wall_phase_seconds_<phase> at summary time) into
   /// `metrics`. Pass nullptr to detach.
   void set_metrics(MetricsRegistry* metrics);
+
+  /// Per (src, dst) traffic: the transport fills the off-diagonal, end_tick
+  /// the diagonal (spikes routed within a rank never touch the transport).
+  CommMatrix& comm_matrix() { return matrix_; }
+  const CommMatrix& comm_matrix() const { return matrix_; }
 
   // --- Recording ----------------------------------------------------------
 
@@ -202,25 +213,23 @@ class WallProfiler final : public TickObserver {
   /// recovery, PCC compile. Driver thread only.
   void record_global(WallPhase phase, double seconds);
 
-  /// Accumulate modelled virtual seconds against (rank, phase) for the
-  /// divergence report.
-  void add_virtual(int rank, WallPhase phase, double seconds);
-
   // --- TickObserver hooks --------------------------------------------------
 
-  /// The first call pins the run's wall epoch and the kernel-dispatch
-  /// baseline.
+  /// The first tick pins the wall epoch; the first tick of each run turns
+  /// kernel-dispatch counting on and takes its baseline.
   void begin_tick(arch::Tick tick) override;
 
-  /// Records the view's per-rank wall brackets and virtual phase seconds,
-  /// then advances the tick count, the rate window, the RSS cadence, and
-  /// (when due) emits one heartbeat record to the sink.
+  /// One pass over the tick: each rank's wall brackets and virtual phase
+  /// seconds, the trace legs, the critical ranks, the overlap legs and the
+  /// comm matrix's diagonal; then the tick count, the rate window, the RSS
+  /// cadence, and (when due) one heartbeat record to the wall sink.
   void end_tick(const TickView& view) override;
 
-  /// Refreshes the kernel-dispatch counts since the baseline.
-  void end_run(RunEnd& out) override;
+  /// Adds the run's kernel-dispatch counts, restores the counting state the
+  /// run found, and writes the profile record to every trace sink.
+  void end_run() override;
 
-  /// Overwrite the kernel-dispatch delta reported by summary().
+  /// Overwrite the kernel-dispatch counts reported by wall_summary().
   void note_kernel_counts(const KernelDispatchCounts& counts) {
     kernels_ = counts;
   }
@@ -229,9 +238,6 @@ class WallProfiler final : public TickObserver {
 
   std::uint64_t ticks() const { return ticks_; }
   double wall_total_s() const { return wall_total_s_; }
-  /// Moving-window tick rate (0 until the window has two samples).
-  double ticks_per_second() const { return window_.ticks_per_second(); }
-  HostResources resources() const { return last_resources_; }
   /// Estimated seconds the instrumentation itself consumed: timer ops times
   /// a per-op cost calibrated at construction (clock read + stat update).
   /// An estimate — the overhead-bound test measures the real thing.
@@ -240,11 +246,14 @@ class WallProfiler final : public TickObserver {
     return ops_.load(std::memory_order_relaxed);
   }
 
-  WallprofSummary summary() const;
+  /// The virtual profile so far (--profile-out, the profile record).
+  ProfileSummary summary() const;
+  /// The wall profile so far (--wallprof-out).
+  WallprofSummary wall_summary() const;
 
-  /// Emit the {"type":"wallprof"} summary record to the sink (no-op without
-  /// one) and push the per-phase gauges into the metrics registry when
-  /// attached. Call after the run.
+  /// Emit the {"type":"wallprof"} summary record to the wall sink (no-op
+  /// without one) and push the per-phase gauges into the metrics registry
+  /// when attached. Call after the run.
   void write_summary();
 
  private:
@@ -253,11 +262,19 @@ class WallProfiler final : public TickObserver {
   int ranks_;
   WallprofOptions options_;
   std::ostream* sink_ = nullptr;
+  std::vector<TraceSink*> sinks_;
 
+  // The table: per rank, both clocks for each per-rank phase, and (in
+  // profile_) the virtual seconds per trace leg and the critical counts.
   std::vector<std::array<WallRankPhase, kRankWallPhases>> rank_;
+  ProfileSummary profile_;  // imbalance is derived in summary()
   std::array<WallPhaseStats, kWallPhaseCount> global_{};
+  CommMatrix matrix_;
+
   KernelDispatchCounts kernels_;
-  KernelDispatchCounts kernel_base_;  // counters at the first begin_tick()
+  KernelDispatchCounts kernel_base_;  // counters at this run's first tick
+  bool counting_ = false;             // dispatch counting armed this run
+  bool counting_before_ = false;      // the state the run found
 
   std::uint64_t ticks_ = 0;
   double epoch_s_ = 0.0;       // monotonic time of the first begin_tick()
@@ -272,6 +289,9 @@ class WallProfiler final : public TickObserver {
   MetricsRegistry* metrics_ = nullptr;
   MetricsRegistry::Id m_ticks_per_s_ = 0, m_rss_ = 0;
 };
+
+/// The plane's earlier name: cocobench/ still spells it.
+using WallProfiler = Profiler;
 
 // --- Live progress meter ----------------------------------------------------
 

@@ -45,9 +45,10 @@ class CheckpointManager {
   /// ("checkpoint-error") before the exception propagates.
   void set_flight_recorder(obs::FlightRecorder* flight) { flight_ = flight; }
 
-  /// Attach the host wall-clock profiler: each snapshot's capture+write+prune
-  /// wall time is then recorded as the global kCheckpoint phase.
-  void set_wall_profiler(obs::WallProfiler* wall) { wall_ = wall; }
+  /// Attach the profiler (obs/wallprof.h): each snapshot's
+  /// capture+write+prune wall time is then recorded as the global
+  /// kCheckpoint phase.
+  void set_wall_profiler(obs::Profiler* wall) { wall_ = wall; }
 
   /// Register the periodic tick callback on `sim`. `sim` and `model` must
   /// outlive the manager; no-op scheduling when options.every == 0.
@@ -90,7 +91,7 @@ class CheckpointManager {
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::MetricsRegistry::Id m_snapshots_ = 0, m_bytes_ = 0, m_write_s_ = 0;
   obs::FlightRecorder* flight_ = nullptr;
-  obs::WallProfiler* wall_ = nullptr;
+  obs::Profiler* wall_ = nullptr;
 };
 
 }  // namespace compass::resilience

@@ -181,7 +181,7 @@ class FaultInjectingTransport final : public comm::Transport {
 
   /// Forward only: the wrapped transport's exchange() does the real
   /// completion work, so it owns the kExchange wall bracket.
-  void set_wall_profiler(obs::WallProfiler* wall) override {
+  void set_wall_profiler(obs::Profiler* wall) override {
     inner_.set_wall_profiler(wall);
   }
 

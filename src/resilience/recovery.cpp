@@ -122,8 +122,8 @@ void RecoverySupervisor::recover(int dead, arch::Tick tick) {
   event.policy = options_.policy;
   event.checkpoint_path = path;
   event.wall_s = sw.elapsed_s();
-  if (wall_ != nullptr) {
-    wall_->record_global(obs::WallPhase::kRecovery, event.wall_s);
+  if (profiler_ != nullptr) {
+    profiler_->record_global(obs::WallPhase::kRecovery, event.wall_s);
   }
 
   obs::RecoveryRecord rec;

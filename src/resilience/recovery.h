@@ -55,7 +55,7 @@
 #include "comm/transport.h"
 #include "obs/flightrec.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
+#include "obs/wallprof.h"
 #include "resilience/checkpoint_manager.h"
 #include "resilience/fault.h"
 #include "runtime/compass.h"
@@ -122,20 +122,16 @@ class RecoverySupervisor {
   /// run without a supervisor. Call once, before run().
   void arm();
 
-  /// Measured comm matrix source for the migrate planner (optional; without
-  /// one the orphan redistribution degrades to lowest-rank-first).
-  void set_profile(const obs::ProfileCollector* profiler) {
-    profiler_ = profiler;
-  }
   /// Recovery counters: compass.recoveries (counter) and
   /// compass.recovery.ticks_lost (gauge). Series are registered lazily at
   /// the first recovery so fault-free snapshots are unchanged.
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
   void set_flight_recorder(obs::FlightRecorder* flight) { flight_ = flight; }
-  /// Attach the host wall-clock profiler: each completed recovery's wall
-  /// time (detection → migrated + replayed) is recorded as the global
-  /// kRecovery phase.
-  void set_wall_profiler(obs::WallProfiler* wall) { wall_ = wall; }
+  /// Attach the profiler: its measured comm matrix steers the migrate
+  /// planner (without one the orphan redistribution degrades to
+  /// lowest-rank-first), and each completed recovery's wall time (detection
+  /// → migrated + replayed) is recorded as the global kRecovery phase.
+  void set_wall_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
 
   /// Completed recoveries, oldest first (at most one per killed rank today).
   const std::vector<RecoveryEvent>& events() const { return events_; }
@@ -150,10 +146,9 @@ class RecoverySupervisor {
   arch::Model& model_;
   FaultInjectingTransport& transport_;
   CheckpointManager& checkpoints_;
-  const obs::ProfileCollector* profiler_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
-  obs::WallProfiler* wall_ = nullptr;
+  obs::Profiler* profiler_ = nullptr;
   bool armed_ = false;
   bool recovered_ = false;  // one recovery per run: a rank dies once
   std::vector<RecoveryEvent> events_;

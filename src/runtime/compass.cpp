@@ -182,13 +182,9 @@ void Compass::set_flight_recorder(obs::FlightRecorder* flight) {
   transport_.set_flight_recorder(flight);
 }
 
-void Compass::set_wall_profiler(obs::WallProfiler* wall) {
-  attach(wall, "wall profiler");
-  transport_.set_wall_profiler(wall);
-}
-
-void Compass::set_profile(obs::ProfileCollector* profiler) {
+void Compass::set_wall_profiler(obs::Profiler* profiler) {
   attach(profiler, "profiler");
+  transport_.set_wall_profiler(profiler);
   transport_.set_comm_matrix(&profiler->comm_matrix());
 }
 
@@ -258,14 +254,8 @@ RunReport Compass::run(arch::Tick ticks) {
   transport_.flush_metrics();  // publish the final tick's comm counters
   // Observers finish before the metrics snapshot, so gauges they publish at
   // the end (a trailing analytics window) land in RunReport::metrics.
-  obs::RunEnd end;
-  for (obs::TickObserver* o : observers_) o->end_run(end);
+  for (obs::TickObserver* o : observers_) o->end_run();
   if (metrics_ != nullptr) report_.metrics = metrics_->snapshot();
-  if (end.profile != nullptr) {
-    report_.profile = *end.profile;
-    const obs::ProfileRecord rec{&*report_.profile, end.comm_matrix};
-    for (obs::TraceSink* sink : sinks_) sink->on_profile(rec);
-  }
   return report_;
 }
 

@@ -121,10 +121,6 @@ RunPlanes::RunPlanes(RunOutputs& outputs, Compass& sim,
   const int ranks = sim.partition().ranks();
   transport.set_metrics(metrics);
   sim.set_metrics(metrics);
-  if (want_profile || !o.profile_out.empty()) {
-    profile_.emplace(ranks);
-    sim.set_profile(&*profile_);
-  }
   if (outputs.trace_) sim.add_trace_sink(&*outputs.trace_);
   if (outputs.chrome_) sim.add_trace_sink(&*outputs.chrome_);
   if (outputs.spans_) {
@@ -147,27 +143,31 @@ RunPlanes::RunPlanes(RunOutputs& outputs, Compass& sim,
     analytics_->add_sink(&*outputs.analytics_);
     sim.set_analytics(&*analytics_);
   }
-  if (outputs.wall_os_.is_open()) {
-    wall_.emplace(ranks, wallprof);
-    wall_->set_sink(&outputs.wall_os_);
-    wall_->set_metrics(metrics);
-    sim.set_wall_profiler(&*wall_);
+  // The profile record reaches the trace files only when a profile is
+  // asked for, so --wallprof-out alone leaves the trace as it was.
+  const bool profiled = want_profile || !o.profile_out.empty();
+  if (profiled || outputs.wall_os_.is_open()) {
+    profiler_.emplace(ranks, wallprof);
+    if (profiled && outputs.trace_) profiler_->add_sink(&*outputs.trace_);
+    if (outputs.wall_os_.is_open()) {
+      profiler_->set_sink(&outputs.wall_os_);
+      profiler_->set_metrics(metrics);
+    }
+    sim.set_wall_profiler(&*profiler_);
   }
 }
 
-void RunPlanes::finish(const RunReport& report) {
-  if (wall_) {
-    wall_->write_summary();
-    outputs_.wall_os_.flush();
-  }
+void RunPlanes::finish() {
+  if (profiler_) profiler_->write_summary();  // no-op without --wallprof-out
+  outputs_.wall_os_.flush();
   outputs_.trace_os_.flush();
   outputs_.spans_os_.flush();
   outputs_.analytics_os_.flush();
   const std::string& path = outputs_.options_.profile_out;
-  if (profile_ && !path.empty()) {
+  if (profiler_ && !path.empty()) {
     std::ofstream os(path);
     if (!os) throw std::runtime_error("cannot write " + path);
-    obs::write_profile_json(os, *report.profile, profile_->comm_matrix());
+    obs::write_profile_json(os, profiler_->summary(), profiler_->comm_matrix());
   }
 }
 

@@ -19,7 +19,6 @@
 #include "comm/transport.h"
 #include "obs/analytics.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/spiketrace.h"
 #include "obs/trace.h"
 #include "obs/wallprof.h"
@@ -90,9 +89,10 @@ class RunPlanes {
   /// Build the planes `outputs` asks for and attach them, with the trace
   /// sinks and the registry, to `sim` and to `transport` (the one `sim`
   /// sends through). `hops` supplies the spike tracer's hop distances.
-  /// `want_profile` builds a ProfileCollector even without --profile-out;
-  /// `core_region` maps each core to its analytics region (empty: one
-  /// region of all cores); `wallprof` configures the wall profiler.
+  /// `want_profile` builds the profiler, and writes its profile record to
+  /// the trace files, even without --profile-out; `core_region` maps each
+  /// core to its analytics region (empty: one region of all cores);
+  /// `wallprof` configures the profiler's wall side.
   RunPlanes(RunOutputs& outputs, Compass& sim, comm::Transport& transport,
             const comm::Transport& hops, bool want_profile = false,
             std::vector<std::uint32_t> core_region = {},
@@ -100,9 +100,9 @@ class RunPlanes {
   RunPlanes(const RunPlanes&) = delete;
   RunPlanes& operator=(const RunPlanes&) = delete;
 
-  // The planes built, or nullptr.
-  obs::ProfileCollector* profile() { return profile_ ? &*profile_ : nullptr; }
-  obs::WallProfiler* wall_profiler() { return wall_ ? &*wall_ : nullptr; }
+  // The planes built, or nullptr. The profiler is built for --profile-out,
+  // --wallprof-out or `want_profile`.
+  obs::Profiler* profiler() { return profiler_ ? &*profiler_ : nullptr; }
   const obs::SpikeTracer* spike_tracer() const {
     return tracer_ ? &*tracer_ : nullptr;
   }
@@ -110,16 +110,15 @@ class RunPlanes {
     return analytics_ ? &*analytics_ : nullptr;
   }
 
-  /// After the run: append the wall profiler's summary, flush the
-  /// appending files, and rewrite --profile-out from `report`.
-  void finish(const RunReport& report);
+  /// After the run: append the wall summary, flush the appending files,
+  /// and rewrite --profile-out from the profiler.
+  void finish();
 
  private:
   RunOutputs& outputs_;
-  std::optional<obs::ProfileCollector> profile_;
   std::optional<obs::SpikeTracer> tracer_;
   std::optional<obs::AnalyticsEngine> analytics_;
-  std::optional<obs::WallProfiler> wall_;
+  std::optional<obs::Profiler> profiler_;
 };
 
 }  // namespace compass::runtime

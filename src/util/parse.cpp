@@ -1,5 +1,7 @@
 #include "util/parse.h"
 
+#include <charconv>
+#include <cmath>
 #include <iostream>
 #include <limits>
 
@@ -16,6 +18,14 @@ std::optional<std::uint64_t> parse_u64(std::string_view text) {
     if (v > (kMax - digit) / 10) return std::nullopt;
     v = v * 10 + digit;
   }
+  return v;
+}
+
+std::optional<double> parse_finite_double(std::string_view text) {
+  const char* const end = text.data() + text.size();
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(v)) return std::nullopt;
   return v;
 }
 

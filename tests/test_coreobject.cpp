@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "arch/types.h"
+#include "cocomac/macaque.h"
 #include "compiler/pcc.h"
 
 namespace compass::compiler {
@@ -129,14 +131,15 @@ TEST(CoreObjectValidate, NonPositiveEdgeWeightRejected) {
 }
 
 TEST(CoreObjectValidate, NonFiniteVolumeRejected) {
-  // std::stod accepts "nan" and "inf", so the parser hands them on; PCC's
-  // volume split would cast them to integers (undefined behaviour) or never
-  // finish, so validation must stop them.
+  // PCC's volume split would cast these to integers (undefined behaviour)
+  // or never finish, so validation must stop them. The parser rejects them
+  // too (CoreObjectStrictNumbers), so a Spec built in code is what can still
+  // carry one here.
   for (const std::string v : {"nan", "inf", "-inf", "-nan"}) {
-    const Spec spec = parse_coreobject_string(
-        "cores 8\nregion A class generic volume " + v +
-        " self 0.2 rate 5\nregion B class generic volume 1 self 0.2 rate 5\n"
-        "edge A B\n");
+    Spec spec = parse_coreobject_string(
+        "cores 8\nregion A class generic volume 1 self 0.2 rate 5\n"
+        "region B class generic volume 1 self 0.2 rate 5\nedge A B\n");
+    spec.regions[0].volume = std::stod(v);
     ASSERT_TRUE(spec.regions[0].volume.has_value()) << v;
     EXPECT_NE(spec.validate().find("volume"), std::string::npos) << v;
     EXPECT_THROW(compile(spec, PccOptions{}), std::invalid_argument) << v;
@@ -157,6 +160,94 @@ TEST(CoreObjectValidate, NonFiniteRateFractionAndWeightRejected) {
     spec.edges[1].weight = bad;
     EXPECT_NE(spec.validate().find("weight"), std::string::npos);
   }
+}
+
+TEST(CoreObjectValidate, CoreCountBoundedByCoreIdRange) {
+  // Checked on the spec alone: compiling these would allocate per core.
+  Spec spec = parse_coreobject_string(
+      std::string(kSample).replace(std::string(kSample).find("cores 64"), 8,
+                                   "cores 99999999999"));
+  EXPECT_EQ(spec.total_cores, 99999999999u);
+  EXPECT_NE(spec.validate().find("total cores"), std::string::npos);
+  spec.total_cores = arch::kInvalidCore;
+  EXPECT_NE(spec.validate().find("total cores"), std::string::npos);
+  spec.total_cores = arch::kInvalidCore - 1;
+  EXPECT_EQ(spec.validate(), "");
+}
+
+TEST(CoreObjectValidate, OverflowingOutVolumeRejected) {
+  // PCC's demand matrix multiplies edge weight by target volume; at 1e308
+  // it overflowed and surfaced as an internal controlled_round error.
+  cocomac::MacaqueSpecOptions mopt;
+  mopt.total_cores = 256;
+  Spec spec = cocomac::build_macaque_spec(mopt);
+  ASSERT_EQ(spec.validate(), "");
+  spec.regions[0].volume = 1e300;
+  EXPECT_EQ(spec.validate(), "");
+  spec.regions[0].volume = 1e308;
+  const std::string err = spec.validate();
+  EXPECT_NE(err.find("out-volume"), std::string::npos) << err;
+  EXPECT_EQ(err.rfind("region ", 0), 0u) << err;
+  EXPECT_THROW(compile(spec, PccOptions{}), std::invalid_argument);
+}
+
+// --- Strict numbers: a number field takes its whole token or fails --------
+
+void expect_parse_error(const std::string& line) {
+  const std::string text = "network x\n" + line + "\n";
+  try {
+    parse_coreobject_string(text);
+    FAIL() << "accepted: " << line;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("CoreObject parse error at line 2"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(CoreObjectStrictNumbers, SeedWithTrailingGarbageFails) {
+  expect_parse_error("seed 42abc");
+}
+
+TEST(CoreObjectStrictNumbers, CoresWithTrailingGarbageFails) {
+  expect_parse_error("cores 256x");
+}
+
+TEST(CoreObjectStrictNumbers, CoresInScientificNotationFails) {
+  expect_parse_error("cores 1e3");
+}
+
+TEST(CoreObjectStrictNumbers, CoresInHexFails) {
+  expect_parse_error("cores 0x40");
+}
+
+TEST(CoreObjectStrictNumbers, NegativeSeedFails) {
+  expect_parse_error("seed -1");
+}
+
+TEST(CoreObjectStrictNumbers, VolumeWithTrailingGarbageFails) {
+  expect_parse_error("region A class generic volume 80x self 0.4 rate 8");
+}
+
+TEST(CoreObjectStrictNumbers, RealFieldsMustBeFiniteNumbers) {
+  for (const std::string bad : {"nan", "inf", "-inf", "1e999", "+1", "0x1p3",
+                                "1,5", ""}) {
+    SCOPED_TRACE("'" + bad + "'");
+    expect_parse_error("region A class generic volume " + bad +
+                       " self 0.4 rate 8");
+    expect_parse_error("region A class generic volume 1 self " + bad +
+                       " rate 8");
+    expect_parse_error("region A class generic volume 1 self 0.4 rate " +
+                       bad);
+    if (!bad.empty()) expect_parse_error("edge A B " + bad);
+  }
+  // What the writer prints still parses: fixed, scientific and negative.
+  const Spec spec = parse_coreobject_string(
+      "region A class generic volume 1e+06 self 0.25 rate 1.5e-05\n"
+      "edge A B -2\n");
+  EXPECT_DOUBLE_EQ(*spec.regions[0].volume, 1e6);
+  EXPECT_DOUBLE_EQ(spec.regions[0].rate_hz, 1.5e-5);
+  EXPECT_DOUBLE_EQ(spec.edges[0].weight, -2.0);
 }
 
 TEST(CoreObject, RegionIndexLookup) {

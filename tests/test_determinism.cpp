@@ -23,8 +23,8 @@
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
 #include "compiler/pcc.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
+#include "obs/wallprof.h"
 #include "runtime/compass.h"
 
 namespace compass {
@@ -64,12 +64,12 @@ DeterministicRun run_once(const compiler::PccResult& pcc, bool parallel,
   // Profiling on: the end-of-run "profile" record (imbalance, critical-rank
   // counts, comm matrix) joins the compared bytes, so the profiler itself is
   // locked down as deterministic too.
-  obs::ProfileCollector profiler(pcc.partition.ranks());
-  sim.set_profile(&profiler);
-
   std::ostringstream os;
   obs::JsonlTraceWriter writer(os, obs::JsonlOptions{.include_measured = false});
   sim.add_trace_sink(&writer);
+  obs::Profiler profiler(pcc.partition.ranks());
+  profiler.add_sink(&writer);
+  sim.set_wall_profiler(&profiler);
 
   DeterministicRun out;
   out.report = sim.run(50);

@@ -1,10 +1,10 @@
 // Every observer plane on one run: the spike tracer, the analytics engine,
-// the wall profiler, the profile collector and the flight recorder, plus a
-// JSONL trace sink and a metrics registry. The planes share one hook list
-// in the runtime (obs/observer.h), so none may perturb another: each
-// deterministic output of the full run must equal the same output of a run
-// with that plane alone, in either attach order, on both transports, serial
-// and parallel — and the committed golden files must still match.
+// the profiler and the flight recorder, plus a JSONL trace sink and a
+// metrics registry. The planes share one hook list in the runtime
+// (obs/observer.h), so none may perturb another: each deterministic output
+// of the full run must equal the same output of a run with that plane
+// alone, in either attach order, on both transports, serial and parallel —
+// and the committed golden files must still match.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -66,17 +66,17 @@ std::vector<std::uint32_t> region_map(const compiler::PccResult& pcc) {
   return core_region;
 }
 
-enum class Plane { kFlight, kProfile, kTracer, kAnalytics, kWall };
+enum class Plane { kFlight, kProfile, kTracer, kAnalytics };
 
 const std::vector<Plane> kAllPlanes = {Plane::kFlight, Plane::kProfile,
-                                       Plane::kTracer, Plane::kAnalytics,
-                                       Plane::kWall};
+                                       Plane::kTracer, Plane::kAnalytics};
 
 struct Outputs {
   std::string trace;      // JSONL trace sink
   std::string analytics;  // analytics records, one per line
   std::string spans;      // spike-span JSONL
   runtime::RunReport report;
+  std::uint64_t profile_ticks = 0;
   std::uint64_t wall_ticks = 0;
   std::uint64_t flight_events = 0;
 };
@@ -109,7 +109,6 @@ Outputs run(const std::vector<Plane>& planes, bool pgas, bool parallel) {
   sim.add_trace_sink(&trace_writer);
 
   obs::FlightRecorder flight(ranks);
-  obs::ProfileCollector profile(ranks);
   obs::SpikeTracer tracer(ranks, obs::SpikeTraceOptions{.sample_every = 4});
   std::ostringstream spans_os;
   obs::JsonlSpikeSpanWriter span_writer(spans_os);
@@ -124,17 +123,17 @@ Outputs run(const std::vector<Plane>& planes, bool pgas, bool parallel) {
   analytics.add_sink(&analytics_buf);
   analytics.set_metrics(&registry);
   std::ostringstream wall_os;
-  obs::WallProfiler wall(ranks);
-  wall.set_sink(&wall_os);
-  wall.set_metrics(&registry);
+  obs::Profiler profiler(ranks);
+  profiler.add_sink(&trace_writer);
+  profiler.set_sink(&wall_os);
+  profiler.set_metrics(&registry);
 
   for (const Plane p : planes) {
     switch (p) {
       case Plane::kFlight: sim.set_flight_recorder(&flight); break;
-      case Plane::kProfile: sim.set_profile(&profile); break;
+      case Plane::kProfile: sim.set_wall_profiler(&profiler); break;
       case Plane::kTracer: sim.set_spike_tracer(&tracer); break;
       case Plane::kAnalytics: sim.set_analytics(&analytics); break;
-      case Plane::kWall: sim.set_wall_profiler(&wall); break;
     }
   }
 
@@ -147,7 +146,8 @@ Outputs run(const std::vector<Plane>& planes, bool pgas, bool parallel) {
     out.analytics += '\n';
   }
   out.spans = spans_os.str();
-  out.wall_ticks = wall.ticks();
+  out.profile_ticks = profiler.summary().ticks;
+  out.wall_ticks = profiler.ticks();
   out.flight_events = flight.recorded();
   return out;
 }
@@ -190,10 +190,10 @@ TEST(AllObservers, EveryOutputEqualsItsPlaneAloneInEitherAttachOrder) {
         EXPECT_EQ(all.analytics, analytics_alone.analytics);
         EXPECT_EQ(all.report.fired_spikes, profile_alone.report.fired_spikes);
         EXPECT_EQ(all.report.wire_bytes, profile_alone.report.wire_bytes);
-        ASSERT_TRUE(all.report.profile.has_value());
-        EXPECT_EQ(all.report.profile->ticks, kTicks);
+        EXPECT_EQ(all.profile_ticks, kTicks);
         EXPECT_FALSE(all.report.metrics.empty());
-        // The two planes without deterministic bytes still saw every tick.
+        // The wall side and the flight recorder, which have no
+        // deterministic bytes, still saw every tick.
         EXPECT_EQ(all.wall_ticks, kTicks);
         EXPECT_GE(all.flight_events, 3 * kTicks);
       }
@@ -236,7 +236,6 @@ TEST(AllObservers, NullOrMismatchedPlaneIsRejected) {
   EXPECT_THROW(sim.set_spike_tracer(nullptr), std::invalid_argument);
   EXPECT_THROW(sim.set_analytics(nullptr), std::invalid_argument);
   EXPECT_THROW(sim.set_wall_profiler(nullptr), std::invalid_argument);
-  EXPECT_THROW(sim.set_profile(nullptr), std::invalid_argument);
   EXPECT_THROW(sim.set_flight_recorder(nullptr), std::invalid_argument);
   obs::FlightRecorder wrong_flight(4);
   EXPECT_THROW(sim.set_flight_recorder(&wrong_flight), std::invalid_argument);
@@ -246,10 +245,10 @@ TEST(AllObservers, NullOrMismatchedPlaneIsRejected) {
   EXPECT_THROW(sim.attach(&wrong_recorder), std::invalid_argument);
 }
 
-// The profile collector, wall profiler and flight recorder each fill the
-// transport's one slot of their kind. A second one would take the slot from
-// the first (whose comm matrix would then stay empty off the diagonal), so
-// it is rejected and the first keeps working.
+// The profiler and the flight recorder each fill the transport's one slot
+// of their kind. A second one would take the slot from the first (whose
+// comm matrix would then stay empty off the diagonal), so it is rejected
+// and the first keeps working.
 TEST(AllObservers, SecondPlaneOfATransportSlotIsRejected) {
   const compiler::PccResult& pcc = model();
   arch::Model m = pcc.model;
@@ -257,15 +256,12 @@ TEST(AllObservers, SecondPlaneOfATransportSlotIsRejected) {
   runtime::Config cfg;
   cfg.measure = false;
   runtime::Compass sim(m, pcc.partition, transport, cfg);
-  obs::ProfileCollector profile(3), second_profile(3);
-  obs::WallProfiler wall(3), second_wall(3);
+  obs::Profiler profiler(3), second_profiler(3);
   obs::FlightRecorder flight(3), second_flight(3);
-  sim.set_profile(&profile);
-  sim.set_wall_profiler(&wall);
+  sim.set_wall_profiler(&profiler);
   sim.set_flight_recorder(&flight);
-  EXPECT_THROW(sim.set_profile(&second_profile), std::invalid_argument);
-  EXPECT_THROW(sim.set_profile(&profile), std::invalid_argument);
-  EXPECT_THROW(sim.set_wall_profiler(&second_wall), std::invalid_argument);
+  EXPECT_THROW(sim.set_wall_profiler(&second_profiler), std::invalid_argument);
+  EXPECT_THROW(sim.set_wall_profiler(&profiler), std::invalid_argument);
   EXPECT_THROW(sim.set_flight_recorder(&second_flight), std::invalid_argument);
   // Planes that hold no transport slot may still be attached twice.
   obs::SpikeTracer tracer(3), second_tracer(3);
@@ -274,9 +270,9 @@ TEST(AllObservers, SecondPlaneOfATransportSlotIsRejected) {
 
   const runtime::RunReport rep = sim.run(kTicks);
   ASSERT_GT(rep.remote_spikes, 0u);
-  EXPECT_EQ(profile.comm_matrix().off_diagonal_total().spikes,
+  EXPECT_EQ(profiler.comm_matrix().off_diagonal_total().spikes,
             rep.remote_spikes);
-  EXPECT_EQ(second_profile.comm_matrix().total().spikes, 0u);
+  EXPECT_EQ(second_profiler.comm_matrix().total().spikes, 0u);
 }
 
 }  // namespace

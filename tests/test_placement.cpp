@@ -21,6 +21,7 @@
 #include "compiler/pcc.h"
 #include "io/raster.h"
 #include "obs/profile.h"
+#include "obs/wallprof.h"
 #include "place/comm_graph.h"
 #include "place/placement.h"
 #include "runtime/compass.h"
@@ -571,8 +572,8 @@ TEST(MeasuredExactness, PredictedBytesEqualCommMatrixBytes) {
   comm::MpiTransport transport(popt.ranks, comm::CommCostModel{});
   transport.set_hop_model(&topo, pcc.placement->node_of_rank);
   runtime::Compass sim(pcc.model, pcc.partition, transport);
-  obs::ProfileCollector collector(popt.ranks);
-  sim.set_profile(&collector);
+  obs::Profiler profiler(popt.ranks);
+  sim.set_wall_profiler(&profiler);
 
   io::RasterRecorder recorder(popt.ranks);
   sim.attach(&recorder);
@@ -600,7 +601,7 @@ TEST(MeasuredExactness, PredictedBytesEqualCommMatrixBytes) {
   // off-diagonal byte total. Exactly — integer counts in doubles.
   const PlacementScore predicted =
       evaluate(measured, pcc.partition, pcc.placement->node_of_rank, &topo);
-  const obs::CommMatrix& matrix = collector.comm_matrix();
+  const obs::CommMatrix& matrix = profiler.comm_matrix();
   const double bytes_per_spike =
       static_cast<double>(transport.spike_wire_bytes());
   EXPECT_EQ(predicted.off_diag_weight,

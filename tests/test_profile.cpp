@@ -21,6 +21,7 @@
 #include "json_lite.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
+#include "obs/wallprof.h"
 #include "runtime/compass.h"
 
 namespace compass {
@@ -97,6 +98,7 @@ compiler::PccResult build_model(int ranks = 3, int threads_per_rank = 2) {
 
 struct ProfiledRun {
   runtime::RunReport report;
+  obs::ProfileSummary profile;
   obs::CommMatrix matrix{0};
   std::string trace_jsonl;
 };
@@ -117,19 +119,21 @@ ProfiledRun run_profiled(const compiler::PccResult& pcc, bool use_pgas = false,
   cfg.measure = measure;
   runtime::Compass sim(model, pcc.partition, *transport, cfg);
 
-  obs::ProfileCollector collector(pcc.partition.ranks());
-  sim.set_profile(&collector);
+  obs::Profiler profiler(pcc.partition.ranks());
+  sim.set_wall_profiler(&profiler);
 
   std::ostringstream os;
   std::optional<obs::JsonlTraceWriter> writer;
   if (with_trace) {
     writer.emplace(os, obs::JsonlOptions{.include_measured = false});
     sim.add_trace_sink(&*writer);
+    profiler.add_sink(&*writer);
   }
 
   ProfiledRun out;
   out.report = sim.run(ticks);
-  out.matrix = collector.comm_matrix();
+  out.profile = profiler.summary();
+  out.matrix = profiler.comm_matrix();
   out.trace_jsonl = os.str();
   return out;
 }
@@ -137,8 +141,7 @@ ProfiledRun run_profiled(const compiler::PccResult& pcc, bool use_pgas = false,
 TEST(ProfileCollector, TotalsAreBitExactAgainstRunReport) {
   const compiler::PccResult pcc = build_model();
   const ProfiledRun run = run_profiled(pcc);
-  ASSERT_TRUE(run.report.profile.has_value());
-  const obs::ProfileSummary& prof = *run.report.profile;
+  const obs::ProfileSummary& prof = run.profile;
 
   // Both the report and the profiler accumulate the same composed per-tick
   // slices in the same order, so equality is exact, not approximate.
@@ -151,7 +154,7 @@ TEST(ProfileCollector, TotalsAreBitExactAgainstRunReport) {
 TEST(ProfileCollector, ImbalanceAndOverlapInvariants) {
   const compiler::PccResult pcc = build_model();
   const ProfiledRun run = run_profiled(pcc);
-  const obs::ProfileSummary& prof = *run.report.profile;
+  const obs::ProfileSummary& prof = run.profile;
 
   ASSERT_EQ(prof.ranks(), 3);
   for (const double f : prof.imbalance) EXPECT_GE(f, 1.0);
@@ -173,7 +176,7 @@ TEST(ProfileCollector, CriticalCountsSumToTicksPerPhase) {
   const compiler::PccResult pcc = build_model();
   const arch::Tick ticks = 30;
   const ProfiledRun run = run_profiled(pcc, false, true, false, ticks);
-  const obs::ProfileSummary& prof = *run.report.profile;
+  const obs::ProfileSummary& prof = run.profile;
 
   std::uint64_t syn = 0, neu = 0, net = 0;
   for (const obs::RankCriticalCounts& c : prof.critical) {
@@ -262,13 +265,24 @@ TEST(CommMatrixConservation, MpiAndPgasAgree) {
   EXPECT_GE(pgas2.matrix.total().messages, mpi2.matrix.total().messages);
 }
 
+// A trace carries a profile record only from a profiler it was added to:
+// neither a run without a profiler nor one whose profiler has no sinks
+// writes one.
 TEST(ProfileCollector, DetachedRunCarriesNoProfile) {
   const compiler::PccResult pcc = build_model();
-  arch::Model model = pcc.model;
-  comm::MpiTransport transport(3, comm::CommCostModel{});
-  runtime::Compass sim(model, pcc.partition, transport);
-  const runtime::RunReport rep = sim.run(5);
-  EXPECT_FALSE(rep.profile.has_value());
+  for (const bool attach : {false, true}) {
+    arch::Model model = pcc.model;
+    comm::MpiTransport transport(3, comm::CommCostModel{});
+    runtime::Compass sim(model, pcc.partition, transport);
+    std::ostringstream os;
+    obs::JsonlTraceWriter writer(os);
+    sim.add_trace_sink(&writer);
+    obs::Profiler profiler(3);
+    if (attach) sim.set_wall_profiler(&profiler);
+    sim.run(5);
+    EXPECT_EQ(os.str().find("\"type\":\"profile\""), std::string::npos);
+    EXPECT_EQ(profiler.summary().ticks, attach ? 5u : 0u);
+  }
 }
 
 TEST(ProfileCollector, RankCountMismatchIsRejected) {
@@ -276,8 +290,8 @@ TEST(ProfileCollector, RankCountMismatchIsRejected) {
   arch::Model model = pcc.model;
   comm::MpiTransport transport(3, comm::CommCostModel{});
   runtime::Compass sim(model, pcc.partition, transport);
-  obs::ProfileCollector wrong(2);
-  EXPECT_THROW(sim.set_profile(&wrong), std::invalid_argument);
+  obs::Profiler wrong(2);
+  EXPECT_THROW(sim.set_wall_profiler(&wrong), std::invalid_argument);
 }
 
 // --- JSON writers ----------------------------------------------------------
@@ -286,7 +300,7 @@ TEST(ProfileJson, DocumentIsValidJson) {
   const compiler::PccResult pcc = build_model();
   const ProfiledRun run = run_profiled(pcc);
   std::ostringstream os;
-  obs::write_profile_json(os, *run.report.profile, run.matrix);
+  obs::write_profile_json(os, run.profile, run.matrix);
   EXPECT_TRUE(json_valid(os.str())) << os.str();
   EXPECT_NE(os.str().find("\"comm\""), std::string::npos);
   EXPECT_NE(os.str().find("\"imbalance\""), std::string::npos);
@@ -344,7 +358,7 @@ TEST(AnalyzeTrace, RoundTripReproducesRunReportExactly) {
   // The embedded end-of-run profile record round-trips the online profile:
   // same totals, same comm matrix, overlap in range.
   ASSERT_TRUE(tp.has_profile);
-  const obs::ProfileSummary& online = *run.report.profile;
+  const obs::ProfileSummary& online = run.profile;
   EXPECT_EQ(tp.profile.ticks, online.ticks);
   EXPECT_EQ(tp.profile.totals.synapse, online.totals.synapse);
   EXPECT_EQ(tp.profile.totals.neuron, online.totals.neuron);
@@ -372,7 +386,7 @@ TEST(AnalyzeTrace, SpanDerivedRankTimesMatchOnlineCollector) {
 
   std::istringstream is(run.trace_jsonl);
   const obs::TraceProfile tp = obs::analyze_trace(is);
-  const obs::ProfileSummary& online = *run.report.profile;
+  const obs::ProfileSummary& online = run.profile;
 
   ASSERT_EQ(tp.rank_phase_s.size(), online.rank_phase_s.size());
   for (std::size_t r = 0; r < tp.rank_phase_s.size(); ++r) {

@@ -4,7 +4,7 @@
 //   * Aggregation math (WallPhaseStats, TickRateWindow, the progress-line
 //     formatter) is exact and deterministic — driven with synthetic clocks,
 //     no real timers.
-//   * Attaching a WallProfiler never perturbs the functional output: the
+//   * Attaching a Profiler never perturbs the functional output: the
 //     determinism suite's byte-identity comparison must hold between a
 //     profiled and an unprofiled run, across transports and the parallel
 //     rank loop.
@@ -19,6 +19,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "arch/kernels.h"
 #include "cocomac/macaque.h"
@@ -176,21 +177,25 @@ TEST(ProgressMeter, FinishWithoutUpdatesEmitsNothing) {
   EXPECT_TRUE(os.str().empty());
 }
 
-// --- WallProfiler unit behavior ---------------------------------------------
+// --- Profiler wall-side unit behavior ---------------------------------------
 
 TEST(WallProfiler, RejectsNonPositiveRankCount) {
-  EXPECT_THROW(obs::WallProfiler(0), std::invalid_argument);
-  EXPECT_THROW(obs::WallProfiler(-3), std::invalid_argument);
+  EXPECT_THROW(obs::Profiler(0), std::invalid_argument);
+  EXPECT_THROW(obs::Profiler(-3), std::invalid_argument);
 }
 
 TEST(WallProfiler, AccumulatesPerRankAndGlobalPhases) {
-  obs::WallProfiler prof(2);
+  obs::Profiler prof(2);
   prof.record(0, obs::WallPhase::kSynapse, 1e-3);
   prof.record(1, obs::WallPhase::kSynapse, 3e-3);
   prof.record(0, obs::WallPhase::kNeuron, 2e-3);
-  prof.add_virtual(0, obs::WallPhase::kSynapse, 10e-3);
+  std::vector<perf::RankTickTimes> times(2);
+  times[0].synapse = 10e-3;
+  obs::TickView view;
+  view.rank_times = times;
+  prof.end_tick(view);
   prof.record_global(obs::WallPhase::kCheckpoint, 7e-3);
-  const obs::WallprofSummary sum = prof.summary();
+  const obs::WallprofSummary sum = prof.wall_summary();
   EXPECT_DOUBLE_EQ(sum.phase_wall_s(obs::WallPhase::kSynapse), 4e-3);
   EXPECT_DOUBLE_EQ(sum.phase_wall_s(obs::WallPhase::kNeuron), 2e-3);
   EXPECT_DOUBLE_EQ(sum.phase_wall_s(obs::WallPhase::kCheckpoint), 7e-3);
@@ -201,7 +206,7 @@ TEST(WallProfiler, AccumulatesPerRankAndGlobalPhases) {
 }
 
 TEST(WallProfiler, TickLoopAdvancesCountAndWallTime) {
-  obs::WallProfiler prof(1);
+  obs::Profiler prof(1);
   for (std::uint64_t t = 0; t < 5; ++t) {
     prof.begin_tick(t);
     obs::TickView view;
@@ -210,7 +215,7 @@ TEST(WallProfiler, TickLoopAdvancesCountAndWallTime) {
   }
   EXPECT_EQ(prof.ticks(), 5u);
   EXPECT_GE(prof.wall_total_s(), 0.0);
-  const obs::WallprofSummary sum = prof.summary();
+  const obs::WallprofSummary sum = prof.wall_summary();
   EXPECT_EQ(sum.ticks, 5u);
 }
 
@@ -218,7 +223,7 @@ TEST(WallProfiler, HeartbeatCadenceEmitsRecords) {
   std::ostringstream os;
   obs::WallprofOptions opt;
   opt.heartbeat_every_ticks = 2;
-  obs::WallProfiler prof(1, opt);
+  obs::Profiler prof(1, opt);
   prof.set_sink(&os);
   for (std::uint64_t t = 0; t < 6; ++t) {
     prof.begin_tick(t);
@@ -241,15 +246,17 @@ TEST(WallProfiler, SummaryJsonRoundTripsThroughAnalyzer) {
   std::ostringstream os;
   obs::WallprofOptions opt;
   opt.heartbeat_every_ticks = 2;
-  obs::WallProfiler prof(2, opt);
+  obs::Profiler prof(2, opt);
   prof.set_sink(&os);
+  std::vector<perf::RankTickTimes> times(2);
+  times[1].neuron = 4e-3;
   for (std::uint64_t t = 0; t < 4; ++t) {
     prof.begin_tick(t);
     prof.record(0, obs::WallPhase::kSynapse, 1e-3);
     prof.record(1, obs::WallPhase::kNeuron, 2e-3);
-    prof.add_virtual(1, obs::WallPhase::kNeuron, 4e-3);
     obs::TickView view;
     view.tick = t;
+    view.rank_times = times;
     prof.end_tick(view);
   }
   prof.record_global(obs::WallPhase::kPccCompile, 0.5);
@@ -331,7 +338,7 @@ TracedRun run_once(const compiler::PccResult& pcc, bool with_wallprof,
   sim.add_trace_sink(&writer);
 
   std::ostringstream wall_os;
-  std::optional<obs::WallProfiler> wallprof;
+  std::optional<obs::Profiler> wallprof;
   if (with_wallprof) {
     obs::WallprofOptions opt;
     opt.heartbeat_every_ticks = 8;
@@ -400,8 +407,33 @@ TEST(WallprofIntegration, RankCountMismatchThrows) {
   arch::Model model = pcc.model;
   comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
   runtime::Compass sim(model, pcc.partition, transport, runtime::Config{});
-  obs::WallProfiler wrong(pcc.partition.ranks() + 1);
+  obs::Profiler wrong(pcc.partition.ranks() + 1);
   EXPECT_THROW(sim.set_wall_profiler(&wrong), std::invalid_argument);
+}
+
+// Dispatch counting costs an atomic increment per core-tick, so the
+// profiler turns it on for its own runs only: off again after each run, on
+// again at the next run's first tick, with each run's counts added.
+TEST(WallprofIntegration, DispatchCountingStopsWithTheProfiledRun) {
+  const compiler::PccResult pcc = build_fixed_model();
+  ASSERT_FALSE(arch::kernels::dispatch_counting());
+  arch::Model model = pcc.model;
+  comm::MpiTransport transport(pcc.partition.ranks(), comm::CommCostModel{});
+  runtime::Compass sim(model, pcc.partition, transport);
+  obs::Profiler prof(pcc.partition.ranks());
+  sim.set_wall_profiler(&prof);
+  const auto neuron_ticks = [&prof] {
+    const obs::KernelDispatchCounts k = prof.wall_summary().kernels;
+    return k.neuron_fast + k.neuron_stoch_soa + k.neuron_scalar;
+  };
+  const std::uint64_t core_ticks = pcc.model.num_cores() * 10;
+
+  sim.run(10);
+  EXPECT_FALSE(arch::kernels::dispatch_counting());
+  EXPECT_EQ(neuron_ticks(), core_ticks);
+  sim.run(10);
+  EXPECT_FALSE(arch::kernels::dispatch_counting());
+  EXPECT_EQ(neuron_ticks(), 2 * core_ticks);
 }
 
 TEST(WallprofIntegration, MeasuredOverheadStaysSmall) {

@@ -69,6 +69,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "arch/types.h"
 #include "cocomac/macaque.h"
 #include "comm/mpi_transport.h"
 #include "comm/pgas_transport.h"
@@ -80,6 +81,7 @@
 #include "obs/metrics.h"
 #include "obs/spiketrace.h"
 #include "obs/trace.h"
+#include "obs/wallprof.h"
 #include "perf/energy.h"
 #include "place/placement.h"
 #include "resilience/checkpoint.h"
@@ -220,7 +222,8 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else if (a == "--neurons") {
       ok = number(args.neurons, 0, UINT64_MAX);
     } else if (a == "--cores") {
-      ok = number(args.cores, 1, UINT64_MAX);
+      // Core ids are 32-bit; the top value means "no target".
+      ok = number(args.cores, 1, arch::kInvalidCore - 1);
     } else if (a == "--seed") {
       ok = number(args.seed, 0, UINT64_MAX);
     } else if (a == "--ranks") {
@@ -542,12 +545,14 @@ int cmd_run(const Args& args) {
   // Analytics records name the compiler's cortical regions.
   obs::WallprofOptions wopt;
   wopt.heartbeat_every_ticks = args.wallprof_heartbeat;
-  runtime::RunPlanes planes(
-      outputs, sim, *transport, *inner_transport,
-      want_recovery && rpolicy == resilience::RecoveryPolicy::kMigrate,
-      region_of_core(pcc), wopt);
-  obs::ProfileCollector* profiler = planes.profile();
-  obs::WallProfiler* wallprof = planes.wall_profiler();
+  const bool migrate =
+      want_recovery && rpolicy == resilience::RecoveryPolicy::kMigrate;
+  runtime::RunPlanes planes(outputs, sim, *transport, *inner_transport,
+                            migrate, region_of_core(pcc), wopt);
+  obs::Profiler* profiler = planes.profiler();
+  // The summary's profile rows follow the trace's profile record: printed
+  // when a profile is asked for, not for --wallprof-out alone.
+  const bool profiled = migrate || !out.profile_out.empty();
 
   std::optional<resilience::RecoverySupervisor> supervisor;
   if (want_recovery) {
@@ -569,21 +574,20 @@ int cmd_run(const Args& args) {
       ropt.node_of_rank = active_placement->node_of_rank;
     }
     supervisor.emplace(ropt, sim, pcc.model, *faulty, *ckpt_mgr);
-    if (profiler) supervisor->set_profile(profiler);
+    if (profiler) supervisor->set_wall_profiler(profiler);
     supervisor->set_metrics(metrics);
     if (flight) supervisor->set_flight_recorder(&*flight);
     supervisor->arm();
     std::cout << "recovery armed: " << args.recovery << "\n";
   }
 
-  // The wall profiler reaches the checkpoint and recovery paths only now,
-  // so the supervisor's baseline snapshot stays out of the wall profile.
-  // Compilation already happened (measured by the PCC itself); charge it
-  // so the summary's pcc_compile bucket reflects this invocation.
-  if (wallprof) {
-    if (ckpt_mgr) ckpt_mgr->set_wall_profiler(wallprof);
-    if (supervisor) supervisor->set_wall_profiler(wallprof);
-    wallprof->record_global(obs::WallPhase::kPccCompile, pcc.stats.compile_s);
+  // The profiler reaches the checkpoint path only now, so the supervisor's
+  // baseline snapshot stays out of the wall profile. Compilation already
+  // happened (measured by the PCC itself); charge it so the summary's
+  // pcc_compile bucket reflects this invocation.
+  if (profiler) {
+    if (ckpt_mgr) ckpt_mgr->set_wall_profiler(profiler);
+    profiler->record_global(obs::WallPhase::kPccCompile, pcc.stats.compile_s);
   }
 
   // Live progress heartbeat on stderr: suppressed off-TTY unless forced, so
@@ -601,7 +605,7 @@ int cmd_run(const Args& args) {
 
   runtime::RunReport rep = sim.run(args.ticks);
   if (progress) progress->finish();
-  planes.finish(rep);
+  planes.finish();
   if (faulty) rep.fault_plan = plan->to_string();
 
   util::Table table({"metric", "value"});
@@ -615,38 +619,28 @@ int cmd_run(const Args& args) {
   table.row().add("virtual time (s)").add(rep.virtual_total_s(), 4);
   table.row().add("slowdown vs real time").add(rep.slowdown(), 2);
   table.row().add("host wall (s)").add(rep.host_wall_s, 2);
-  if (rep.profile) {
-    const obs::ProfileSummary& prof = *rep.profile;
+  if (profiled) {
+    const obs::ProfileSummary prof = profiler->summary();
     table.row()
         .add("imbalance syn/neu/net")
         .add(util::format_double(prof.imbalance[0], 2) + "/" +
              util::format_double(prof.imbalance[1], 2) + "/" +
              util::format_double(prof.imbalance[2], 2));
     table.row().add("overlap efficiency").add(prof.overlap_efficiency(), 3);
-    // The rank that most often set the whole-tick makespan's network slice
-    // (the paper's straggler diagnostics).
-    int critical_rank = 0;
-    std::uint64_t critical_ticks = 0;
-    for (int r = 0; r < prof.ranks(); ++r) {
-      const obs::RankCriticalCounts& c =
-          prof.critical[static_cast<std::size_t>(r)];
-      const std::uint64_t total = c.synapse + c.neuron + c.network;
-      if (total > critical_ticks) {
-        critical_ticks = total;
-        critical_rank = r;
-      }
-    }
+    // The rank that most often set a slice of the tick makespan (the
+    // paper's straggler diagnostics).
+    const auto [critical_rank, critical_slices] = prof.most_critical();
     table.row()
         .add("most critical rank")
         .add("r" + std::to_string(critical_rank) + " (" +
-             std::to_string(critical_ticks) + " slices)");
+             std::to_string(critical_slices) + " slices)");
   }
   if (active_placement) {
     table.row().add("placement").add(active_placement->policy);
     table.row()
         .add("predicted objective")
         .add(active_placement->predicted_objective, 0);
-    if (profiler) {
+    if (profiled) {
       const place::PlacementScore measured = place::evaluate_comm_matrix(
           profiler->comm_matrix(), active_placement->node_of_rank, &*topo);
       table.row()
@@ -754,15 +748,11 @@ int cmd_run(const Args& args) {
     std::cout << "metrics exposition (Prometheus text) written to "
               << args.metrics_prom_file << "\n";
   }
-  if (wallprof) {
+  if (!out.wallprof_out.empty()) {
+    const obs::WallprofSummary wall = profiler->wall_summary();
     std::cout << "wall profile (wallprof JSONL, "
-              << util::format_double(wallprof->wall_total_s(), 3) << " s at "
-              << util::format_double(
-                     wallprof->wall_total_s() > 0.0
-                         ? static_cast<double>(wallprof->ticks()) /
-                               wallprof->wall_total_s()
-                         : 0.0,
-                     1)
+              << util::format_double(wall.wall_s, 3) << " s at "
+              << util::format_double(wall.ticks_per_second, 1)
               << " ticks/s) written to " << out.wallprof_out << "\n";
   }
   if (!out.profile_out.empty()) {
